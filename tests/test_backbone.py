@@ -269,6 +269,23 @@ class TestFlopCounts:
         assert count_flops(long, 32, 32) > count_flops(short, 32, 32)
         assert count_params(long) == count_params(short)
 
+    @pytest.mark.parametrize(
+        "pool_text,variant,flops",
+        [("strided", "a", 8_212_574_730), ("wavelet:haar", "a", 8_925_876_746),
+         ("wavelet:haar", "b", 11_009_936_906), ("wavelet:haar", "c", 12_861_732_362),
+         ("max", "c", 12_857_969_162), ("blur:1-2-1", "c", 12_897_482_762),
+         ("wavelet:db4", "b", 11_037_483_530)],
+    )
+    def test_resnet50_counters_pinned(self, pool_text, variant, flops):
+        # substituted stem sites (stride-2 conv, max pool) and every block
+        # order on the ResNet50 layout; wavelet with variant a substitutes
+        # the stem sites but keeps the block convs strided
+        model = build_network(resnet50_schedule(), parse_pool(pool_text),
+                              parse_variant(variant), num_classes=10)
+        assert count_params(model) == 23_528_522
+        assert model.trace_shapes(224, 224) == (7, 7)
+        assert count_flops(model, 224, 224) == flops
+
 
 class TestBottomHeavy:
     def test_shift_zero_is_identity(self):
