@@ -14,10 +14,12 @@ differ only in skip-path order.  For 1x1 bias-free skip convs and a linear
 pooling operator the two skip orders commute exactly, which the test suite
 asserts.  Blocks that do not down-sample are identical across variants.
 
-Down-sampling sites elsewhere (a stem stride-2 conv, a stem max pool)
-follow the same substitution whenever ``pool`` is not StridedConv: a
-stride-2 conv keeps its weights as a stride-1 conv followed by the pool; a
-bare max pool site becomes the pool alone.
+One function, ``_substitute``, rewrites every down-sampling site: a
+stride-2 conv keeps its weights as a stride-1 conv followed by the pool (on
+the skip path of (b), preceded by it), and a bare max pool site becomes the
+pool alone.  Blocks apply it in variants (b) and (c); the stem (a stride-2
+conv, a max pool) applies it whenever ``pool`` is not StridedConv, in every
+variant.
 
 Conventions used by the counters (all integers, per single input image):
 
@@ -181,6 +183,12 @@ def bottom_heavy(schedule: StageSchedule, shift: int = 2) -> StageSchedule:
 
 # ---------------------------------------------------------------------------
 # layers
+#
+# A network is described as ordered lists of layers: the stem, and each
+# block's main and skip path.  Every layer is called as layer(x, training)
+# and reports, for one (h, w) input image, its output size (``out_hw``) and
+# its forward FLOPs (``flops``); forward, shape tracing, FLOP counting,
+# parameters and checkpoint state all iterate the same lists.
 
 
 def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -188,7 +196,26 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
     return rng.uniform(-bound, bound, size=shape)
 
 
-class _Conv:
+def _halve(name, h, w):
+    if h % 2 or w % 2:
+        raise InvalidConfig(f"{name}: odd spatial dim {h}x{w} at downsample")
+    return h // 2, w // 2
+
+
+class _Layer:
+    """Defaults for a parameter-free layer that keeps the spatial size."""
+
+    def parameters(self):
+        return []
+
+    def state(self):
+        return []
+
+    def out_hw(self, h, w):
+        return h, w
+
+
+class _Conv(_Layer):
     def __init__(self, name, in_ch, out_ch, kernel, stride, pad, rng, bias=False):
         self.name = name
         self.in_ch, self.out_ch, self.kernel = in_ch, out_ch, kernel
@@ -197,7 +224,7 @@ class _Conv:
         self.weight = Parameter(_kaiming_uniform(rng, (out_ch, in_ch, kernel, kernel), fan_in))
         self.bias = Parameter(np.zeros(out_ch)) if bias else None
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, training: bool) -> Tensor:
         return conv2d(x, self.weight, self.bias, stride=self.stride, pad=self.pad)
 
     def parameters(self):
@@ -210,10 +237,7 @@ class _Conv:
         return items
 
     def out_hw(self, h, w):
-        return (h // self.stride, w // self.stride) if self.pad != "valid" else (
-            (h - self.kernel) // self.stride + 1,
-            (w - self.kernel) // self.stride + 1,
-        )
+        return _halve(self.name, h, w) if self.stride == 2 else (h, w)
 
     def flops(self, h, w) -> int:
         oh, ow = self.out_hw(h, w)
@@ -221,7 +245,7 @@ class _Conv:
         return 2 * macs + (self.out_ch * oh * ow if self.bias is not None else 0)
 
 
-class _BatchNorm:
+class _BatchNorm(_Layer):
     def __init__(self, name, ch):
         self.name = name
         self.ch = ch
@@ -250,6 +274,45 @@ class _BatchNorm:
         return 2 * self.ch * h * w
 
 
+class _ReLU(_Layer):
+    def __init__(self, ch):
+        self.ch = ch
+
+    def __call__(self, x: Tensor, training: bool) -> Tensor:
+        return relu(x)
+
+    def flops(self, h, w) -> int:
+        return self.ch * h * w
+
+
+class _Pool(_Layer):
+    """A parameter-free 2x down-sampling site of ``ch`` channels."""
+
+    def __init__(self, name, kind: PoolKind, ch):
+        self.name = name
+        self.kind, self.ch = kind, ch
+        self._op = make_pool(kind)
+
+    def __call__(self, x: Tensor, training: bool) -> Tensor:
+        return self._op(x)
+
+    def out_hw(self, h, w):
+        return _halve(self.name, h, w)
+
+    def flops(self, h, w) -> int:
+        """1 FLOP per tap per produced element, as the operators run."""
+        fam, ch = self.kind.family, self.ch
+        if fam in (PoolFamily.MAX_POOL2, PoolFamily.AVG_POOL2):
+            return 4 * ch * (h // 2) * (w // 2)
+        if fam is PoolFamily.WAVELET_POOL:
+            L = int(self.kind.wavelet.analysis_low.size)
+            return ch * (L * h * (w // 2) + L * (h // 2) * (w // 2))
+        if fam is PoolFamily.BLUR_POOL:
+            T = len(self.kind.blur_kernel)
+            return ch * (2 * T * h * w + (h // 2) * (w // 2))
+        return ch * (h // 2) * (w // 2)  # naive decimation: one tap per output
+
+
 class _Linear:
     def __init__(self, name, in_features, out_features, rng):
         self.name = name
@@ -270,27 +333,58 @@ class _Linear:
         return 2 * self.in_features * self.out_features + self.out_features
 
 
-def _pool_flops(kind: PoolKind, ch: int, h: int, w: int) -> int:
-    """FLOPs of one pooling application on a (ch, h, w) map, per the
-    1-FLOP-per-tap-per-produced-element convention."""
-    fam = kind.family
-    if fam in (PoolFamily.MAX_POOL2, PoolFamily.AVG_POOL2):
-        return 4 * ch * (h // 2) * (w // 2)
-    if fam is PoolFamily.WAVELET_POOL:
-        L = int(kind.wavelet.analysis_low.size)
-        return ch * (L * h * (w // 2) + L * (h // 2) * (w // 2))
-    if fam is PoolFamily.BLUR_POOL:
-        T = len(kind.blur_kernel)
-        return ch * (2 * T * h * w + (h // 2) * (w // 2))
-    return ch * (h // 2) * (w // 2)  # naive decimation: one tap per output
+def _substitute(layers, pool: PoolKind, pool_first: bool = False):
+    """The down-sampling substitution rule, applied to one path.
+
+    ``layers`` is a path as the original network has it, whose down-sampling
+    sites are stride-2 convs and bare pools.  Unless ``pool`` is StridedConv,
+    a stride-2 conv keeps its weights as a stride-1 conv followed by
+    ``pool`` (preceded by it when ``pool_first``, the skip order of
+    PoolBeforeConvSkip), and a bare pool site becomes ``pool`` alone.
+    """
+    if pool.family is PoolFamily.STRIDED_CONV:
+        return layers
+    out = []
+    for layer in layers:
+        if isinstance(layer, _Pool):
+            out.append(_Pool(layer.name, pool, layer.ch))
+        elif isinstance(layer, _Conv) and layer.stride == 2:
+            layer.stride = 1
+            if pool_first:
+                out += [_Pool(f"{layer.name}.pool", pool, layer.in_ch), layer]
+            else:
+                out += [layer, _Pool(f"{layer.name}.pool", pool, layer.out_ch)]
+        else:
+            out.append(layer)
+    return out
+
+
+def _run(layers, x: Tensor, training: bool) -> Tensor:
+    for layer in layers:
+        x = layer(x, training)
+    return x
+
+
+def _walk(layers, h, w):
+    """(FLOPs, h, w) of ``layers`` on one (h, w) image; raises InvalidConfig
+    naming the first layer that would halve an odd dimension."""
+    total = 0
+    for layer in layers:
+        total += layer.flops(h, w)
+        h, w = layer.out_hw(h, w)
+    return total, h, w
 
 
 # ---------------------------------------------------------------------------
 # blocks and networks
 
 
-class Block:
-    """Bottleneck residual block: 1x1 -> 3x3 -> 1x1 with skip connection."""
+class Block(_Layer):
+    """Bottleneck residual block: 1x1 -> 3x3 -> 1x1 with skip connection.
+
+    ``main`` and ``skip`` are the two paths as layer lists (an identity skip
+    is the empty list); the block's output is relu(main(x) + skip(x)).
+    """
 
     def __init__(self, name, in_ch, out_ch, downsample, pool, variant, expansion, pad, rng):
         if in_ch < 1 or out_ch < 1:
@@ -302,138 +396,63 @@ class Block:
             )
         self.name = name
         self.in_ch, self.out_ch = in_ch, out_ch
-        self.downsample = bool(downsample)
-        self.pool_kind = pool
-        self.variant = variant
         width = max(1, out_ch // expansion)
-        self.width = width
-
-        strided = self.downsample and variant is BlockOrderVariant.ORIGINAL
-        pooled = self.downsample and variant is not BlockOrderVariant.ORIGINAL
-        self._pool = make_pool(pool) if pooled else None
+        stride = 2 if downsample else 1
 
         self.conv1 = _Conv(f"{name}.conv1", in_ch, width, 1, 1, pad, rng)
         self.bn1 = _BatchNorm(f"{name}.bn1", width)
-        self.conv2 = _Conv(f"{name}.conv2", width, width, 3, 2 if strided else 1, pad, rng)
+        self.conv2 = _Conv(f"{name}.conv2", width, width, 3, stride, pad, rng)
         self.bn2 = _BatchNorm(f"{name}.bn2", width)
         self.conv3 = _Conv(f"{name}.conv3", width, out_ch, 1, 1, pad, rng)
         self.bn3 = _BatchNorm(f"{name}.bn3", out_ch)
+        self.main = [self.conv1, self.bn1, _ReLU(width), self.conv2, self.bn2, _ReLU(width),
+                     self.conv3, self.bn3]
 
-        self.has_skip_conv = self.downsample or in_ch != out_ch
+        self.has_skip_conv = bool(downsample) or in_ch != out_ch
+        self.skip = []
         if self.has_skip_conv:
-            self.skip_conv = _Conv(
-                f"{name}.skip_conv", in_ch, out_ch, 1, 2 if strided else 1, pad, rng
-            )
+            self.skip_conv = _Conv(f"{name}.skip_conv", in_ch, out_ch, 1, stride, pad, rng)
             self.skip_bn = _BatchNorm(f"{name}.skip_bn", out_ch)
+            self.skip = [self.skip_conv, self.skip_bn]
+
+        if variant is not BlockOrderVariant.ORIGINAL:
+            self.main = _substitute(self.main, pool)
+            self.skip = _substitute(
+                self.skip, pool, pool_first=variant is BlockOrderVariant.POOL_BEFORE_CONV_SKIP
+            )
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        h = relu(self.bn1(self.conv1(x), training))
-        h = self.conv2(h)
-        if self._pool is not None:
-            h = self._pool(h)
-        h = relu(self.bn2(h, training))
-        h = self.bn3(self.conv3(h), training)
+        return relu(_run(self.main, x, training) + _run(self.skip, x, training))
 
-        if self.has_skip_conv:
-            s = x
-            if self._pool is not None and self.variant is BlockOrderVariant.POOL_BEFORE_CONV_SKIP:
-                s = self._pool(s)
-            s = self.skip_conv(s)
-            if (
-                self._pool is not None
-                and self.variant is BlockOrderVariant.CONSISTENT_POOL_AFTER_CONV
-            ):
-                s = self._pool(s)
-            s = self.skip_bn(s, training)
-        else:
-            s = x
-        return relu(h + s)
-
-    def skip_path(self, x: Tensor, training: bool) -> Tensor:
-        """The skip branch alone; exposed for the order-commutation tests."""
-        if not self.has_skip_conv:
-            return x
-        s = x
-        if self._pool is not None and self.variant is BlockOrderVariant.POOL_BEFORE_CONV_SKIP:
-            s = self._pool(s)
-        s = self.skip_conv(s)
-        if self._pool is not None and self.variant is BlockOrderVariant.CONSISTENT_POOL_AFTER_CONV:
-            s = self._pool(s)
-        return self.skip_bn(s, training)
-
-    def layers(self):
-        out = [self.conv1, self.bn1, self.conv2, self.bn2, self.conv3, self.bn3]
-        if self.has_skip_conv:
-            out += [self.skip_conv, self.skip_bn]
-        return out
+    __call__ = forward
 
     def parameters(self):
-        return [p for layer in self.layers() for p in layer.parameters()]
+        return [p for layer in self.main + self.skip for p in layer.parameters()]
 
     def state(self):
-        return [item for layer in self.layers() for item in layer.state()]
+        return [item for layer in self.main + self.skip for item in layer.state()]
 
     def out_hw(self, h, w):
-        return (h // 2, w // 2) if self.downsample else (h, w)
-
-    def check_dims(self, h, w):
-        if self.downsample and (h % 2 or w % 2):
-            raise InvalidConfig(f"{self.name}: odd spatial dim {h}x{w} at downsample")
+        return _walk(self.main, h, w)[1:]
 
     def flops(self, h, w) -> int:
-        self.check_dims(h, w)
-        oh, ow = self.out_hw(h, w)
-        pooled = self._pool is not None
-        total = self.conv1.flops(h, w) + self.bn1.flops(h, w) + self.width * h * w  # relu1
-        total += self.conv2.flops(h, w)  # stride already encoded for variant a
-        if pooled:
-            total += _pool_flops(self.pool_kind, self.width, h, w)
-        total += self.bn2.flops(oh, ow) + self.width * oh * ow  # relu2
-        total += self.conv3.flops(oh, ow) + self.bn3.flops(oh, ow)
-        if self.has_skip_conv:
-            if pooled and self.variant is BlockOrderVariant.POOL_BEFORE_CONV_SKIP:
-                total += _pool_flops(self.pool_kind, self.in_ch, h, w)
-                total += self.skip_conv.flops(oh, ow)
-            elif pooled:  # consistent order: conv at full resolution, then pool
-                total += self.skip_conv.flops(h, w)
-                total += _pool_flops(self.pool_kind, self.out_ch, h, w)
-            else:
-                total += self.skip_conv.flops(h, w)
-            total += self.skip_bn.flops(oh, ow)
-        total += self.out_ch * oh * ow  # residual add
-        total += self.out_ch * oh * ow  # relu3
-        return total
-
-
-def build_block(
-    in_ch: int,
-    out_ch: int,
-    downsample: bool,
-    pool: PoolKind,
-    variant: BlockOrderVariant,
-    expansion: int = 4,
-    pad: str = "circular",
-    rng=None,
-    name: str = "block",
-) -> Block:
-    """Standalone bottleneck block constructor (see Block)."""
-    if rng is None:
-        rng = make_rng(0)
-    return Block(name, in_ch, out_ch, downsample, pool, variant, expansion, pad, rng)
+        main, oh, ow = _walk(self.main, h, w)
+        skip = _walk(self.skip, h, w)[0]
+        return main + skip + 2 * self.out_ch * oh * ow  # residual add + relu
 
 
 class Network:
-    """Stem -> bottleneck stages -> global average pool -> classifier."""
+    """Stem -> bottleneck stages -> global average pool -> classifier.
+
+    ``layers`` is the stem's layer list followed by the blocks.
+    """
 
     def __init__(self, schedule, pool, variant, num_classes, seed, conv_pad,
                  input_mean=None, input_std=None, in_channels=3):
-        if variant is not BlockOrderVariant.ORIGINAL and pool.family is PoolFamily.STRIDED_CONV:
-            raise InvalidConfig("variants b/c require a pooling operator, not StridedConv")
         if num_classes < 2:
             raise InvalidConfig(f"num_classes must be >= 2, got {num_classes}")
-        self.schedule = schedule
-        self.pool_kind = pool
-        self.variant = variant
+        if conv_pad not in ("circular", "same"):
+            raise InvalidConfig(f"conv_pad must be 'circular' or 'same', got {conv_pad!r}")
         self.num_classes = num_classes
         self.conv_pad = conv_pad
         self.in_channels = in_channels
@@ -449,26 +468,17 @@ class Network:
         self.input_mean, self.input_std = input_mean, input_std
 
         rng = make_rng(seed)
-        replace_sites = pool.family is not PoolFamily.STRIDED_CONV
-
-        # stem: stride-2 conv and pool sites substituted like any other site
-        stem_conv_stride = schedule.stem_stride
-        self._stem_conv_pool = None
-        if schedule.stem_stride == 2 and replace_sites:
-            stem_conv_stride = 1
-            self._stem_conv_pool = make_pool(pool)
+        ch = schedule.stem_channels
         self.stem_conv = _Conv(
-            "stem.conv", in_channels, schedule.stem_channels, schedule.stem_kernel,
-            stem_conv_stride, conv_pad, rng,
+            "stem.conv", in_channels, ch, schedule.stem_kernel, schedule.stem_stride,
+            conv_pad, rng,
         )
-        self.stem_bn = _BatchNorm("stem.bn", schedule.stem_channels)
-        self._stem_pool_kind = None
+        stem = [self.stem_conv, _BatchNorm("stem.bn", ch), _ReLU(ch)]
         if schedule.stem_pool is not None:
-            self._stem_pool_kind = pool if replace_sites else schedule.stem_pool
-            self._stem_pool = make_pool(self._stem_pool_kind)
+            stem.append(_Pool("stem.pool", schedule.stem_pool, ch))
 
         self.blocks: list[Block] = []
-        in_ch = schedule.stem_channels
+        in_ch = ch
         for si, (count, width, down) in enumerate(schedule.stages):
             out_ch = width * schedule.expansion
             for bi in range(count):
@@ -485,33 +495,14 @@ class Network:
                 )
                 self.blocks.append(block)
                 in_ch = out_ch
+        self.layers = _substitute(stem, pool) + self.blocks
         self.feature_channels = in_ch
         self.fc = _Linear("head.fc", in_ch, num_classes, rng)
-
-    # -- shape bookkeeping --------------------------------------------------
-
-    def _stem_sites(self):
-        """(name, halves?, kind) tuples for stem down-sampling sites."""
-        sites = []
-        if self.schedule.stem_stride == 2 or self._stem_conv_pool is not None:
-            sites.append("stem.conv")
-        if self._stem_pool_kind is not None:
-            sites.append("stem.pool")
-        return sites
 
     def trace_shapes(self, h: int, w: int):
         """Walk spatial dims; raise InvalidConfig naming the first layer that
         would halve an odd dimension."""
-        for site in self._stem_sites():
-            if h % 2 or w % 2:
-                raise InvalidConfig(f"{site}: odd spatial dim {h}x{w} at downsample")
-            h, w = h // 2, w // 2
-        for block in self.blocks:
-            block.check_dims(h, w)
-            h, w = block.out_hw(h, w)
-        return h, w
-
-    # -- forward ------------------------------------------------------------
+        return _walk(self.layers, h, w)[1:]
 
     def forward(self, x, training: bool = False) -> Tensor:
         x = x if isinstance(x, Tensor) else Tensor(x)
@@ -524,31 +515,17 @@ class Network:
             x = (x + Tensor(-self.input_mean[None, :, None, None])) * Tensor(
                 1.0 / self.input_std[None, :, None, None]
             )
-        h = self.stem_conv(x)
-        if self._stem_conv_pool is not None:
-            h = self._stem_conv_pool(h)
-        h = relu(self.stem_bn(h, training))
-        if self._stem_pool_kind is not None:
-            h = self._stem_pool(h)
-        for block in self.blocks:
-            h = block.forward(h, training)
-        return self.fc(global_avg_pool(h))
+        return self.fc(global_avg_pool(_run(self.layers, x, training)))
 
     __call__ = forward
 
     # -- parameters and serialization ----------------------------------------
 
     def parameters(self):
-        params = self.stem_conv.parameters() + self.stem_bn.parameters()
-        for block in self.blocks:
-            params += block.parameters()
-        return params + self.fc.parameters()
+        return [p for layer in self.layers for p in layer.parameters()] + self.fc.parameters()
 
     def state(self):
-        items = self.stem_conv.state() + self.stem_bn.state()
-        for block in self.blocks:
-            items += block.state()
-        return items + self.fc.state()
+        return [item for layer in self.layers for item in layer.state()] + self.fc.state()
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return dict(self.state())
@@ -597,26 +574,10 @@ def count_params(model: Network) -> int:
 def count_flops(model: Network, h: int, w: int) -> int:
     """Forward FLOPs for one (in_channels, h, w) image per the documented
     integer conventions."""
-    model.trace_shapes(h, w)
-    total = 0
-    ch = model.schedule.stem_channels
-    if model.input_mean is not None:
-        total += 2 * model.in_channels * h * w
-    total += model.stem_conv.flops(h, w)
-    h2, w2 = model.stem_conv.out_hw(h, w)
-    if model._stem_conv_pool is not None:
-        total += _pool_flops(model.pool_kind, ch, h2, w2)
-        h2, w2 = h2 // 2, w2 // 2
-    total += model.stem_bn.flops(h2, w2) + ch * h2 * w2  # bn + relu
-    if model._stem_pool_kind is not None:
-        total += _pool_flops(model._stem_pool_kind, ch, h2, w2)
-        h2, w2 = h2 // 2, w2 // 2
-    for block in model.blocks:
-        total += block.flops(h2, w2)
-        h2, w2 = block.out_hw(h2, w2)
-    total += model.feature_channels * (h2 * w2 + 1)  # global average pool
-    total += model.fc.flops()
-    return int(total)
+    total = 2 * model.in_channels * h * w if model.input_mean is not None else 0
+    layers, h, w = _walk(model.layers, h, w)
+    total += layers + model.feature_channels * (h * w + 1)  # global average pool
+    return int(total + model.fc.flops())
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +604,8 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         blob = f.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise UnsupportedFormat(f"{path}: not a checkpoint file (bad magic)")
+    if len(blob) < 12:
+        raise UnsupportedFormat(f"{path}: truncated checkpoint header")
     version, count = struct.unpack_from("<II", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise UnsupportedFormat(f"{path}: checkpoint version {version} unsupported")
@@ -664,6 +627,8 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
             tensors[name] = arr.astype(np.float64)
     except (struct.error, ValueError) as exc:
         raise UnsupportedFormat(f"{path}: truncated or corrupt checkpoint") from exc
+    if off != len(blob):
+        raise UnsupportedFormat(f"{path}: {len(blob) - off} bytes after the last tensor")
     return tensors
 
 

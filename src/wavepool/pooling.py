@@ -32,7 +32,7 @@ import numpy as np
 from .autodiff import Tensor, make_op
 from .errors import InputTooShort, InvalidHyperparameter, OddLengthInput, ShapeMismatch
 from .filterbank import WaveletSpec, parse_wavelet
-from .ops import _as_tensor, conv2d
+from .ops import _as_tensor
 from .transforms import _analyze_ll, _analyze_ll_adjoint
 
 DEFAULT_BLUR_KERNEL = (0.25, 0.5, 0.25)
@@ -293,36 +293,3 @@ def make_pool(kind: PoolKind):
         return wave
     return subsample2
 
-
-def apply_replacement(kind: PoolKind, conv_weights=None, pad: str = "same"):
-    """Compose the anti-aliased substitute for a stride-2 down-sampling site.
-
-    Two sites exist in a standard backbone, distinguished by whether the
-    original operator carried convolution weights:
-
-    - bare 2x2 max pool (no weights): the substitute is the pooling
-      operator alone;
-    - stride-2 convolution (weights given): the substitute keeps the same
-      weight tensor as a stride-1 convolution and appends the pooling
-      operator after it, the main-path order.
-
-    With ``kind`` = StridedConv the site is left as the original stride-2
-    convolution, which therefore requires its weights.
-    """
-    if kind.family is PoolFamily.STRIDED_CONV:
-        if conv_weights is None:
-            raise ShapeMismatch("strided convolution site requires its conv weights")
-
-        def strided(x):
-            return conv2d(x, conv_weights, stride=2, pad=pad)
-
-        return strided
-
-    pool_fn = make_pool(kind)
-    if conv_weights is None:
-        return pool_fn
-
-    def composed(x):
-        return pool_fn(conv2d(x, conv_weights, stride=1, pad=pad))
-
-    return composed

@@ -10,9 +10,11 @@ reports, (9) knowledge distillation on the short schedule, and (10)
 bit-identical command-line training reruns.
 
 Criteria 8 and 9 share two fully trained micro networks through a
-session-scoped fixture; their reports are archived under ``artifacts/``
-at the repository root.  This machine exposes a single CPU core, so the
-wall-clock budget in criterion 8 is measured on one core by construction.
+session-scoped fixture, which writes their reports to its tmp dir; criterion
+8 requires the metric CSVs to equal the archived copies under
+``artifacts/`` at the repository root byte for byte.  A change that moves
+those numbers on purpose copies the fresh reports over the archived ones.
+The wall-clock budget in criterion 8 is meant for one CPU core.
 """
 
 import os
@@ -375,10 +377,10 @@ def micro_config_text(outdir, pool, epochs=4, lr=0.08, lr_schedule="cosine",
 @pytest.fixture(scope="session")
 def trained_micro_nets(tmp_path_factory):
     """Fully trained wavelet and max-pool micro nets on the 2000/500
-    synthetic set, with training and shift-consistency reports archived
-    under artifacts/."""
+    synthetic set, with training and shift-consistency reports written to
+    each entry's ``report_dir``."""
     root = tmp_path_factory.mktemp("acceptance_train")
-    os.makedirs(ARTIFACT_DIR, exist_ok=True)
+    report_dir = os.path.join(str(root), "reports")
     nets = {}
     for pool in ("wavelet:haar", "max"):
         slug = pool.replace(":", "_")
@@ -387,8 +389,9 @@ def trained_micro_nets(tmp_path_factory):
         t0 = time.perf_counter()
         model, report = train_model(cfg, checkpoint_dir=ckpt_dir)
         elapsed = time.perf_counter() - t0
-        report.write(ARTIFACT_DIR, f"train_{slug}")
+        report.write(report_dir, f"train_{slug}")
         nets[pool] = {
+            "report_dir": report_dir,
             "model": model,
             "report": report,
             "elapsed": elapsed,
@@ -399,7 +402,7 @@ def trained_micro_nets(tmp_path_factory):
     for pool, entry in nets.items():
         report = shift_consistency(entry["model"], test_set, max_shift=4, sample_limit=100)
         report.metadata["pool"] = pool
-        report.write(ARTIFACT_DIR, f"consistency_{pool.replace(':', '_')}")
+        report.write(report_dir, f"consistency_{pool.replace(':', '_')}")
         entry["consistency"] = report
     return nets
 
@@ -407,8 +410,9 @@ def trained_micro_nets(tmp_path_factory):
 def test_criterion_08_desk_scale_training(trained_micro_nets):
     """The wavelet-pooled micro net (< 0.2 M params) reaches >= 90% test
     accuracy on the 2000/500 synthetic set within 30 epochs and 15 minutes
-    on one CPU core; shift-consistency reports for the wavelet and max-pool
-    models are archived (the agreement sign is reported, not asserted)."""
+    on one CPU core; the training and shift-consistency CSVs of the wavelet
+    and max-pool models equal the archived ones byte for byte (the agreement
+    sign is reported, not asserted)."""
     wave = trained_micro_nets["wavelet:haar"]
     assert wave["report"].value("param_count") <= 200_000
     assert wave["cfg"].train.epochs <= 30
@@ -416,8 +420,12 @@ def test_criterion_08_desk_scale_training(trained_micro_nets):
     assert accuracy >= 0.90, f"test accuracy {accuracy:.4f}"
     assert wave["elapsed"] <= 900.0, f"training took {wave['elapsed']:.1f}s"
     for slug in ("wavelet_haar", "max"):
-        for ext in (".csv", ".json"):
-            assert os.path.exists(os.path.join(ARTIFACT_DIR, f"consistency_{slug}{ext}"))
+        for stem in (f"train_{slug}", f"consistency_{slug}"):
+            assert os.path.exists(os.path.join(wave["report_dir"], stem + ".json"))
+            with open(os.path.join(wave["report_dir"], stem + ".csv"), "rb") as f:
+                fresh = f.read()
+            with open(os.path.join(ARTIFACT_DIR, stem + ".csv"), "rb") as f:
+                assert fresh == f.read(), f"{stem}.csv differs from artifacts/"
     wave_agree = wave["consistency"].value("argmax_agreement")
     max_agree = trained_micro_nets["max"]["consistency"].value("argmax_agreement")
     print(

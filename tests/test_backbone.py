@@ -9,14 +9,17 @@ library's own layer objects.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wavepool.autodiff import Tensor, make_rng
 from wavepool.backbone import (
+    Block,
     BlockOrderVariant,
     Network,
     StageSchedule,
+    _run,
     bottom_heavy,
-    build_block,
     build_network,
     count_flops,
     count_params,
@@ -142,8 +145,7 @@ class TestBlockVariants:
         x = Tensor(rng.normal(size=(2, 8, 8, 8)))
         outs = []
         for variant in (VARIANT_A, VARIANT_B, VARIANT_C):
-            block = build_block(8, 8, downsample=False, pool=HAAR, variant=variant,
-                                expansion=2, rng=make_rng(3))
+            block = Block("block", 8, 8, False, HAAR, variant, 2, "circular", make_rng(3))
             outs.append(block.forward(x, training=False).data)
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[1], outs[2])
@@ -151,45 +153,39 @@ class TestBlockVariants:
     def test_b_and_c_skip_paths_commute(self, rng):
         # 1x1 bias-free skip conv and linear pooling commute exactly
         x = Tensor(rng.normal(size=(2, 8, 8, 8)))
-        b = build_block(8, 16, downsample=True, pool=HAAR, variant=VARIANT_B,
-                        expansion=2, rng=make_rng(3))
-        c = build_block(8, 16, downsample=True, pool=HAAR, variant=VARIANT_C,
-                        expansion=2, rng=make_rng(3))
-        sb = b.skip_path(x, training=False).data
-        sc = c.skip_path(x, training=False).data
+        b = Block("block", 8, 16, True, HAAR, VARIANT_B, 2, "circular", make_rng(3))
+        c = Block("block", 8, 16, True, HAAR, VARIANT_C, 2, "circular", make_rng(3))
+        sb = _run(b.skip, x, training=False).data
+        sc = _run(c.skip, x, training=False).data
         assert np.max(np.abs(sb - sc)) <= 1e-10
 
     def test_b_and_c_full_blocks_agree(self, rng):
         # main paths are identical by construction, skip paths commute
         x = Tensor(rng.normal(size=(2, 8, 8, 8)))
-        b = build_block(8, 16, downsample=True, pool=HAAR, variant=VARIANT_B,
-                        expansion=2, rng=make_rng(3))
-        c = build_block(8, 16, downsample=True, pool=HAAR, variant=VARIANT_C,
-                        expansion=2, rng=make_rng(3))
+        b = Block("block", 8, 16, True, HAAR, VARIANT_B, 2, "circular", make_rng(3))
+        c = Block("block", 8, 16, True, HAAR, VARIANT_C, 2, "circular", make_rng(3))
         ob = b.forward(x, training=False).data
         oc = c.forward(x, training=False).data
         assert np.max(np.abs(ob - oc)) <= 1e-10
 
     def test_variant_a_downsamples_with_stride(self, rng):
-        block = build_block(8, 16, downsample=True, pool=STRIDED, variant=VARIANT_A,
-                            expansion=2, rng=rng)
+        block = Block("block", 8, 16, True, STRIDED, VARIANT_A, 2, "circular", rng)
         out = block.forward(Tensor(rng.normal(size=(1, 8, 8, 8))), training=False)
         assert out.shape == (1, 16, 4, 4)
 
     def test_pooling_variants_downsample_too(self, rng):
         for variant in (VARIANT_B, VARIANT_C):
-            block = build_block(8, 16, downsample=True, pool=MAX, variant=variant,
-                                expansion=2, rng=make_rng(1))
+            block = Block("block", 8, 16, True, MAX, variant, 2, "circular", make_rng(1))
             out = block.forward(Tensor(rng.normal(size=(1, 8, 8, 8))), training=False)
             assert out.shape == (1, 16, 4, 4)
 
     def test_strided_pool_with_pooling_variant_rejected(self):
         with pytest.raises(InvalidConfig):
-            build_block(8, 16, downsample=True, pool=STRIDED, variant=VARIANT_C)
+            Block("block", 8, 16, True, STRIDED, VARIANT_C, 4, "circular", make_rng(0))
 
     def test_bad_channels_rejected(self):
         with pytest.raises(InvalidConfig):
-            build_block(0, 16, downsample=False, pool=HAAR, variant=VARIANT_C)
+            Block("block", 0, 16, False, HAAR, VARIANT_C, 4, "circular", make_rng(0))
 
 
 class TestParamCounts:
@@ -386,6 +382,9 @@ class TestNetwork:
         with pytest.raises(ShapeMismatch):
             build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4,
                           input_mean=(0.5,), input_std=(0.2,))
+        for pad in ("bogus", "valid"):
+            with pytest.raises(InvalidConfig):
+                build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, conv_pad=pad)
 
     def test_stem_sites_replaced_for_pooling_kinds(self, rng):
         # stride-2 stem conv + stem max pool both substituted when the pool
@@ -458,6 +457,25 @@ class TestCheckpoints:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(UnsupportedFormat):
             read_checkpoint(path)
+
+    @pytest.fixture(scope="class")
+    def saved_blob(self, tmp_path_factory):
+        """A small net's checkpoint bytes, and a directory to write variants to."""
+        sched = StageSchedule(stages=((1, 2, True),), stem_channels=2, expansion=1)
+        path = tmp_path_factory.mktemp("checkpoint") / "model.wvpk"
+        save_checkpoint(build_network(sched, HAAR, VARIANT_C, num_classes=2), path)
+        return path.parent, path.read_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(cut=st.integers(min_value=0, max_value=2**20), tail=st.binary(min_size=1, max_size=1))
+    @example(cut=5, tail=b"\x00")  # b"WVPK\x01": shorter than the 12-byte header
+    def test_cut_or_padded_file_rejected(self, saved_blob, cut, tail):
+        folder, blob = saved_blob
+        path = folder / "bad.wvpk"
+        for bad in (blob[: cut % len(blob)], blob + tail):
+            path.write_bytes(bad)
+            with pytest.raises(UnsupportedFormat):
+                read_checkpoint(path)
 
     def test_checkpoint_for_wrong_architecture_rejected(self, tmp_path):
         small = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)

@@ -5,6 +5,7 @@ import pytest
 
 from _gradcheck import gradcheck
 from wavepool.autodiff import Tensor, make_rng
+from wavepool.backbone import Block, StageSchedule, _run, build_network, parse_variant
 from wavepool.errors import (
     InputTooShort,
     InvalidHyperparameter,
@@ -17,7 +18,6 @@ from wavepool.pooling import (
     DEFAULT_BLUR_KERNEL,
     PoolFamily,
     PoolKind,
-    apply_replacement,
     avg_pool2,
     blur_pool,
     make_pool,
@@ -303,35 +303,51 @@ class TestMakePool:
 
 
 class TestApplyReplacement:
+    """The down-sampling substitution as the backbone builds its layer lists."""
+
     def test_max_site_replacement_is_bare_pool(self, rng):
+        sched = StageSchedule(stages=((1, 2, False),), stem_channels=2,
+                              stem_pool=PoolKind.max_pool2(), expansion=1)
+        model = build_network(sched, parse_pool("wavelet:haar"), parse_variant("c"),
+                              num_classes=2)
+        site = model.layers[3]  # after the stem conv, bn and relu
+        assert site.name == "stem.pool" and model.layers[4] is model.blocks[0]
         x = Tensor(rng.normal(size=(1, 2, 8, 8)))
-        op = apply_replacement(parse_pool("wavelet:haar"))
-        out = op(x)
+        out = site(x, training=False)
         assert out.shape == (1, 2, 4, 4)
         assert np.allclose(out.data, wavelet_pool(x, parse_wavelet("haar")).data)
 
     def test_strided_site_keeps_same_weights_as_stride1_then_pool(self, rng):
-        x = Tensor(rng.normal(size=(1, 2, 8, 8)))
-        w = Tensor(rng.normal(size=(4, 2, 3, 3)))
-        op = apply_replacement(parse_pool("wavelet:haar"), conv_weights=w, pad="circular")
-        manual = wavelet_pool(conv2d(x, w, stride=1, pad="circular"), parse_wavelet("haar"))
-        assert np.allclose(op(x).data, manual.data, atol=1e-12)
+        wave = Block("b", 2, 4, True, parse_pool("wavelet:haar"), parse_variant("c"), 1,
+                     "circular", make_rng(0))
+        strided = Block("b", 2, 4, True, parse_pool("strided"), parse_variant("a"), 1,
+                        "circular", make_rng(0))
+        assert np.array_equal(wave.conv2.weight.data, strided.conv2.weight.data)
+        conv, pool = wave.main[3:5]
+        assert conv is wave.conv2
+        x = Tensor(rng.normal(size=(1, 4, 8, 8)))
+        manual = wavelet_pool(conv2d(x, conv.weight, stride=1, pad="circular"),
+                              parse_wavelet("haar"))
+        assert np.allclose(_run([conv, pool], x, training=False).data, manual.data, atol=1e-12)
 
     def test_pointwise_conv_commutes_with_pooling(self, rng):
         # 1x1 convs mix channels only; linear per-channel spatial pooling
         # commutes with them, so pool-then-conv equals conv-then-pool
+        db2 = parse_pool("wavelet:db2")
+        after = Block("b", 3, 5, True, db2, parse_variant("c"), 1, "same", make_rng(0))
+        before = Block("b", 3, 5, True, db2, parse_variant("b"), 1, "same", make_rng(0))
         x = Tensor(rng.normal(size=(1, 3, 8, 8)))
-        w = Tensor(rng.normal(size=(5, 3, 1, 1)))
-        after = apply_replacement(parse_pool("wavelet:db2"), conv_weights=w)(x)
-        before = conv2d(wavelet_pool(x, parse_wavelet("db2")), w, stride=1, pad="same")
-        assert np.max(np.abs(after.data - before.data)) <= 1e-10
+        conv_then_pool = _run(after.skip[:2], x, training=False)
+        pool_then_conv = _run(before.skip[:2], x, training=False)
+        assert after.skip[0] is after.skip_conv and before.skip[1] is before.skip_conv
+        assert np.max(np.abs(conv_then_pool.data - pool_then_conv.data)) <= 1e-10
 
     def test_strided_kind_reproduces_stride2_conv(self, rng):
-        x = Tensor(rng.normal(size=(1, 2, 8, 8)))
-        w = Tensor(rng.normal(size=(4, 2, 3, 3)))
-        op = apply_replacement(PoolKind.strided_conv(), conv_weights=w, pad="same")
-        assert np.allclose(op(x).data, conv2d(x, w, stride=2, pad="same").data)
-
-    def test_strided_kind_without_weights_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            apply_replacement(PoolKind.strided_conv())
+        sched = StageSchedule(stages=((1, 2, False),), stem_channels=4, stem_stride=2)
+        model = build_network(sched, PoolKind.strided_conv(), parse_variant("a"),
+                              num_classes=2, conv_pad="same")
+        conv, after = model.layers[:2]
+        assert after.name == "stem.bn"  # no pool follows the conv
+        x = Tensor(rng.normal(size=(1, 3, 8, 8)))
+        want = conv2d(x, conv.weight, stride=2, pad="same")
+        assert np.allclose(conv(x, training=False).data, want.data)
