@@ -9,8 +9,8 @@ Run:  python3 demos/architecture_accounting.py
 """
 
 from wavepool.backbone import (
+    Network,
     bottom_heavy,
-    build_network,
     count_flops,
     count_params,
     micro_schedule,
@@ -28,7 +28,7 @@ def main():
         ("strided", "a"), ("max", "c"), ("avg", "c"), ("blur:1-2-1", "c"),
         ("wavelet:haar", "c"), ("wavelet:db4", "c"),
     ):
-        model = build_network(
+        model = Network(
             micro_schedule(), parse_pool(pool), parse_variant(variant), num_classes=4
         )
         label = f"{pool} / {variant}"
@@ -41,11 +41,11 @@ def main():
     print("-" * 46)
     base_sched = resnet50_schedule()
     strided, original = parse_pool("strided"), parse_variant("a")
-    base = build_network(base_sched, strided, original, num_classes=1000)
+    base = Network(base_sched, strided, original, num_classes=1000)
     p0, f0 = count_params(base), count_flops(base, 640, 512)
     print(f"{'baseline':<24}{p0:>12,}{f0 / 1e9:>10.2f}")
     for shift in (1, 2):  # the deepest stage has 3 blocks, so shift tops out at 2
-        heavy = build_network(
+        heavy = Network(
             bottom_heavy(base_sched, shift), strided, original, num_classes=1000
         )
         p1, f1 = count_params(heavy), count_flops(heavy, 640, 512)

@@ -13,12 +13,7 @@ Run:  python3 demos/train_micro_net.py
 
 import os
 
-from wavepool.analysis import (
-    load_dataset,
-    run_experiment,
-    shift_consistency,
-    train_model,
-)
+from wavepool.analysis import load_dataset, shift_consistency, train_model
 from wavepool.config import parse_config
 
 OUTDIR = "demo_out"
@@ -90,8 +85,8 @@ def main():
     print("\nknowledge distillation, two-epoch short schedule:")
     teacher_ckpt = os.path.join(OUTDIR, "max_checkpoints", "final.wvpk")
     short = dict(epochs=2, lr=0.02, lr_schedule="constant")
-    plain = run_experiment(config("wavelet:haar", mode="short", **short))
-    distilled = run_experiment(
+    _model, plain = train_model(config("wavelet:haar", **short))
+    _model, distilled = train_model(
         config("wavelet:haar", mode="kd", teacher=teacher_ckpt, **short)
     )
     print(f"  plain      {plain.value('final_test_accuracy'):6.1%}")

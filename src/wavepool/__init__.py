@@ -7,199 +7,3 @@ ops, optim), residual backbone builders with parameter/FLOP accounting
 (backbone), frequency-domain and shift-robustness diagnostics (analysis),
 dataset loaders (data) and a command line front end (cli).
 """
-
-from .errors import (
-    CorruptDataset,
-    DatasetNotFound,
-    InputTooLarge,
-    InputTooShort,
-    InvalidConfig,
-    InvalidHyperparameter,
-    MissingArtifact,
-    MissingGradient,
-    OddLengthInput,
-    ShapeMismatch,
-    UnsupportedFormat,
-    UnsupportedWavelet,
-    WavepoolError,
-)
-from .filterbank import (
-    Family,
-    ResidualReport,
-    WaveletSpec,
-    check_biorthogonality,
-    make_cohen,
-    make_daubechies,
-    make_haar,
-    parse_wavelet,
-    supported_wavelets,
-)
-from .transforms import (
-    SubbandSet,
-    dwt1d,
-    dwt2d,
-    idwt1d,
-    idwt2d,
-    reconstruct_lowpass,
-)
-from .autodiff import Parameter, Tensor, make_rng, no_grad, spawn_rngs
-from .ops import (
-    batchnorm2d,
-    conv2d,
-    global_avg_pool,
-    kd_loss,
-    linear,
-    relu,
-    softmax_cross_entropy,
-)
-from .optim import cosine_lr, sgd_step, step_decay, zero_grads
-from .pooling import (
-    DEFAULT_BLUR_KERNEL,
-    PoolFamily,
-    PoolKind,
-    avg_pool2,
-    blur_pool,
-    make_pool,
-    max_pool2,
-    parse_pool,
-    subsample2,
-    wavelet_pool,
-)
-from .backbone import (
-    Block,
-    BlockOrderVariant,
-    Network,
-    StageSchedule,
-    bottom_heavy,
-    build_network,
-    count_flops,
-    count_params,
-    load_checkpoint,
-    micro_schedule,
-    parse_variant,
-    read_checkpoint,
-    resnet50_schedule,
-    save_checkpoint,
-)
-from .analysis import (
-    MetricsReport,
-    alias_energy_sweep,
-    dft2,
-    evaluate,
-    run_experiment,
-    shift_consistency,
-    spectrum_energy_fraction_above,
-    train_model,
-)
-from .data import (
-    LabeledImageSet,
-    encode_cifar_records,
-    load_cifar100,
-    load_image_set,
-    make_tiny_object_set,
-    read_cifar_records,
-    save_image_set,
-)
-from .config import (
-    ExperimentConfig,
-    config_hash,
-    load_config,
-    parse_config,
-    serialize_config,
-)
-from .imageio import read_image, write_pgm, write_ppm
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Block",
-    "BlockOrderVariant",
-    "CorruptDataset",
-    "DEFAULT_BLUR_KERNEL",
-    "DatasetNotFound",
-    "ExperimentConfig",
-    "Family",
-    "InputTooLarge",
-    "InputTooShort",
-    "InvalidConfig",
-    "InvalidHyperparameter",
-    "LabeledImageSet",
-    "MetricsReport",
-    "MissingArtifact",
-    "MissingGradient",
-    "Network",
-    "OddLengthInput",
-    "Parameter",
-    "PoolFamily",
-    "PoolKind",
-    "ResidualReport",
-    "ShapeMismatch",
-    "StageSchedule",
-    "SubbandSet",
-    "Tensor",
-    "UnsupportedFormat",
-    "UnsupportedWavelet",
-    "WaveletSpec",
-    "WavepoolError",
-    "alias_energy_sweep",
-    "avg_pool2",
-    "batchnorm2d",
-    "blur_pool",
-    "bottom_heavy",
-    "build_network",
-    "check_biorthogonality",
-    "config_hash",
-    "conv2d",
-    "cosine_lr",
-    "count_flops",
-    "count_params",
-    "dft2",
-    "dwt1d",
-    "dwt2d",
-    "encode_cifar_records",
-    "evaluate",
-    "global_avg_pool",
-    "idwt1d",
-    "idwt2d",
-    "kd_loss",
-    "linear",
-    "load_cifar100",
-    "load_checkpoint",
-    "load_config",
-    "load_image_set",
-    "make_cohen",
-    "make_daubechies",
-    "make_haar",
-    "make_pool",
-    "make_rng",
-    "make_tiny_object_set",
-    "max_pool2",
-    "micro_schedule",
-    "no_grad",
-    "parse_pool",
-    "parse_config",
-    "parse_variant",
-    "parse_wavelet",
-    "read_cifar_records",
-    "read_checkpoint",
-    "read_image",
-    "reconstruct_lowpass",
-    "relu",
-    "resnet50_schedule",
-    "run_experiment",
-    "save_checkpoint",
-    "save_image_set",
-    "serialize_config",
-    "sgd_step",
-    "shift_consistency",
-    "softmax_cross_entropy",
-    "spawn_rngs",
-    "spectrum_energy_fraction_above",
-    "step_decay",
-    "subsample2",
-    "supported_wavelets",
-    "train_model",
-    "wavelet_pool",
-    "zero_grads",
-    "__version__",
-]

@@ -5,7 +5,7 @@ half-band frequency folds that content onto lower frequencies unless an
 anti-aliasing filter removes it first.  ``alias_energy_sweep`` measures the
 fold directly on pure plane waves via an explicit DFT; ``shift_consistency``
 measures its practical symptom (predictions that flip under small input
-shifts); ``run_experiment`` trains micro networks so the two numbers can be
+shifts); ``train_model`` trains micro networks so the two numbers can be
 compared across pooling operators.
 
 All randomness in an experiment derives from the single config seed, and
@@ -64,14 +64,6 @@ class MetricsReport:
             "metrics": {k: {"value": v, "unit": u} for k, (v, u) in self.metrics.items()},
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        payload = json.loads(text)
-        report = cls(metadata=dict(payload["metadata"]))
-        for name, entry in payload["metrics"].items():
-            report.metrics[name] = (float(entry["value"]), entry["unit"])
-        return report
 
     def write(self, outdir, stem: str) -> tuple[str, str]:
         """Write CSV and JSON next to each other; returns the two paths."""
@@ -145,12 +137,13 @@ def _dc_gain(kind: PoolKind) -> float:
 
 
 def _on_grid_bin(freq: float, n: int) -> int:
-    k = round(freq * n / (2 * np.pi))
-    if not 0 < freq <= np.pi or abs(k * 2 * np.pi / n - freq) > 1e-9:
-        raise InvalidConfig(
-            f"frequency {freq:.6f} is not an exact bin of the {n}-point sweep grid"
-        )
-    return int(k)
+    # the range test comes first: it also rejects nan and inf, which round()
+    # cannot take
+    if 0 < freq <= np.pi:
+        k = round(freq * n / (2 * np.pi))
+        if abs(k * 2 * np.pi / n - freq) <= 1e-9:
+            return int(k)
+    raise InvalidConfig(f"frequency {freq:.6f} is not an exact bin of the {n}-point sweep grid")
 
 
 def alias_energy_sweep(pool: PoolKind, freqs) -> MetricsReport:
@@ -180,6 +173,8 @@ def alias_energy_sweep(pool: PoolKind, freqs) -> MetricsReport:
     numbers outside the bound.
     """
     freqs = list(freqs)
+    if not freqs:
+        raise InvalidConfig("alias sweep needs at least one frequency")
     n = _SWEEP_GRID
     i = np.arange(n)
     grid = i[:, None] + i[None, :]
@@ -243,6 +238,8 @@ def shift_consistency(model, dataset: LabeledImageSet, max_shift: int,
     """
     if max_shift < 1:
         raise InvalidConfig(f"max_shift must be >= 1, got {max_shift}")
+    if sample_limit < 0:
+        raise InvalidConfig(f"sample_limit must be >= 0, got {sample_limit}")
     images = dataset.images
     if sample_limit:
         images = images[:sample_limit]
@@ -295,7 +292,7 @@ def build_model_from_config(cfg: ExperimentConfig, num_classes: int,
     mean = std = None
     if train_set is not None:
         mean, std = train_set.channel_stats()
-    return bb.build_network(
+    return bb.Network(
         schedule,
         parse_pool(pool if pool is not None else cfg.model.pool),
         bb.parse_variant(cfg.model.variant),
@@ -336,13 +333,11 @@ def train_model(cfg: ExperimentConfig, data_dir: str = "",
                 checkpoint_dir: str | None = None):
     """Train a model per config; returns (model, MetricsReport).
 
-    Modes: ``plain`` trains on cross-entropy; ``short`` is the same loss
-    under a deliberately small epoch budget (recorded in metadata);
-    ``kd`` distills from a serialized teacher via kd_loss, building the
-    teacher from the same schedule with the config's ``teacher_pool``
-    operator.  Deterministic given the config seed.  When
-    ``checkpoint_dir`` is set, parameters are serialized after every epoch
-    plus a final checkpoint.
+    Modes: ``plain`` trains on cross-entropy; ``kd`` distills from a
+    serialized teacher via kd_loss, building the teacher from the same
+    schedule with the config's ``teacher_pool`` operator.  Deterministic
+    given the config seed.  When ``checkpoint_dir`` is set, parameters are
+    serialized after every epoch plus a final checkpoint.
     """
     t0 = time.time()
     t = cfg.train
@@ -415,10 +410,3 @@ def train_model(cfg: ExperimentConfig, data_dir: str = "",
     if checkpoint_dir:
         bb.save_checkpoint(model, os.path.join(checkpoint_dir, "final.wvpk"))
     return model, report
-
-
-def run_experiment(cfg: ExperimentConfig, data_dir: str = "",
-                   checkpoint_dir: str | None = None) -> MetricsReport:
-    """Train and evaluate per config (see train_model); returns the report."""
-    _model, report = train_model(cfg, data_dir, checkpoint_dir)
-    return report

@@ -7,16 +7,16 @@ reverse topological order and accumulates ``.grad`` arrays on every tensor
 that requires gradient.  This is deliberately small: just enough machinery
 to express, train, and finite-difference-check the residual micro networks.
 
-Everything runs in double precision by default (the correctness tolerances
-assume it); pass float32 data explicitly for throughput experiments.
+Everything runs in double precision: a Tensor stores its data as float64
+whatever the input dtype, and the correctness tolerances assume it.
 
 Gradient recording can be suspended with the ``no_grad()`` context manager,
 used for evaluation passes and for teacher forward passes during
 distillation.
 
-Randomness comes from ``make_rng``/``spawn_rng``: numpy's PCG64 generator
-behind a SeedSequence, so one integer seed from a config file reproducibly
-derives every weight init and batch shuffle via independent child streams.
+Randomness comes from ``make_rng``: numpy's PCG64 generator behind a
+SeedSequence, so one integer seed from a config file reproducibly derives
+every weight init and batch shuffle.
 """
 
 from __future__ import annotations
@@ -27,23 +27,19 @@ import numpy as np
 
 from .errors import MissingGradient, ShapeMismatch
 
-_grad_enabled = True
+_recording = True
 
 
 @contextlib.contextmanager
 def no_grad():
     """Context manager suspending tape construction."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    global _recording
+    prev = _recording
+    _recording = False
     try:
         yield
     finally:
-        _grad_enabled = prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
+        _recording = prev
 
 
 class Tensor:
@@ -52,8 +48,7 @@ class Tensor:
     Parameters
     ----------
     data : array_like
-        Values; converted to a float numpy array (float64 unless the input
-        is already float32).
+        Values; converted to a float64 numpy array.
     requires_grad : bool
         Leaf flag; interior nodes set it automatically from their parents.
     """
@@ -61,10 +56,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
-        arr = np.asarray(data)
-        if arr.dtype != np.float32:
-            arr = np.asarray(arr, dtype=np.float64)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
@@ -84,9 +76,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -222,7 +211,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def make_op(data, parents, backward_fn) -> Tensor:
     """Create an op output, recording the tape node when gradients are on."""
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward_fn)
     return Tensor(data)
 
@@ -230,16 +219,14 @@ def make_op(data, parents, backward_fn) -> Tensor:
 class Parameter(Tensor):
     """A learnable leaf tensor carrying an SGD momentum buffer.
 
-    ``learnable=False`` marks state that is serialized but never updated by
-    the optimizer (unused here but part of the contract; batchnorm running
-    statistics live outside the tape as plain arrays).
+    Batchnorm running statistics are not Parameters: they live outside the
+    tape as plain arrays.
     """
 
-    __slots__ = ("learnable", "momentum")
+    __slots__ = ("momentum",)
 
-    def __init__(self, data, learnable=True):
-        super().__init__(data, requires_grad=bool(learnable))
-        self.learnable = bool(learnable)
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
         self.momentum = np.zeros_like(self.data)
 
     def materialized_grad(self) -> np.ndarray:
@@ -251,14 +238,3 @@ class Parameter(Tensor):
 def make_rng(seed: int) -> np.random.Generator:
     """Root generator: PCG64 behind a SeedSequence built from one integer."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
-
-
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """n independent child generators derived from one seed.
-
-    Splitting via SeedSequence.spawn keeps streams statistically independent
-    regardless of how many draws each consumer makes, so adding a consumer
-    never perturbs the others.
-    """
-    root = np.random.SeedSequence(int(seed))
-    return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(n)]

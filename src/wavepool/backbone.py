@@ -24,7 +24,7 @@ variant.
 Conventions used by the counters (all integers, per single input image):
 
 - conv/linear: 2 FLOPs per multiply-accumulate, plus one per output
-  element when a bias is present;
+  element for the bias, which only the linear head has;
 - batchnorm: 2 FLOPs per element; relu: 1; residual add: 1;
 - pooling: 1 FLOP per produced element per filter tap, as the operators
   are actually implemented (wavelet pooling runs separable passes, so a
@@ -33,9 +33,9 @@ Conventions used by the counters (all integers, per single input image):
   separable passes plus the subsample);
 - global average pooling: H*W + 1 per channel.
 
-Parameter counts sum learnable tensors only (conv/linear weights and
-biases, batchnorm scale and shift); batchnorm running statistics are state,
-not parameters, though checkpoints carry them.
+Parameter counts sum the learnable tensors (conv weights, the linear
+head's weight and bias, batchnorm scale and shift); batchnorm running
+statistics are state, not parameters, though checkpoints carry them.
 
 Convolutions default to circular padding so that the whole network is
 exactly equivariant to full-stride circular shifts of its input, making
@@ -66,20 +66,10 @@ class BlockOrderVariant(enum.Enum):
     CONSISTENT_POOL_AFTER_CONV = "c"
 
 
-_VARIANT_ALIASES = {
-    "a": BlockOrderVariant.ORIGINAL,
-    "original": BlockOrderVariant.ORIGINAL,
-    "b": BlockOrderVariant.POOL_BEFORE_CONV_SKIP,
-    "pool_before_conv_skip": BlockOrderVariant.POOL_BEFORE_CONV_SKIP,
-    "c": BlockOrderVariant.CONSISTENT_POOL_AFTER_CONV,
-    "consistent_pool_after_conv": BlockOrderVariant.CONSISTENT_POOL_AFTER_CONV,
-}
-
-
 def parse_variant(text: str) -> BlockOrderVariant:
     try:
-        return _VARIANT_ALIASES[text.strip().lower()]
-    except KeyError:
+        return BlockOrderVariant(text.strip().lower())
+    except ValueError:
         raise InvalidConfig(f"unknown block variant {text!r}") from None
 
 
@@ -112,14 +102,6 @@ class StageSchedule:
             raise InvalidConfig("stem kernel must be odd")
         if self.stem_stride not in (1, 2):
             raise InvalidConfig("stem stride must be 1 or 2")
-
-    @property
-    def downsample_count(self) -> int:
-        return (
-            (1 if self.stem_stride == 2 else 0)
-            + (1 if self.stem_pool is not None else 0)
-            + sum(1 for _c, _w, down in self.stages if down)
-        )
 
 
 def micro_schedule() -> StageSchedule:
@@ -216,33 +198,30 @@ class _Layer:
 
 
 class _Conv(_Layer):
-    def __init__(self, name, in_ch, out_ch, kernel, stride, pad, rng, bias=False):
+    """A bias-free convolution: batchnorm follows every conv."""
+
+    def __init__(self, name, in_ch, out_ch, kernel, stride, pad, rng):
         self.name = name
         self.in_ch, self.out_ch, self.kernel = in_ch, out_ch, kernel
         self.stride, self.pad = stride, pad
         fan_in = in_ch * kernel * kernel
         self.weight = Parameter(_kaiming_uniform(rng, (out_ch, in_ch, kernel, kernel), fan_in))
-        self.bias = Parameter(np.zeros(out_ch)) if bias else None
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return conv2d(x, self.weight, self.bias, stride=self.stride, pad=self.pad)
+        return conv2d(x, self.weight, stride=self.stride, pad=self.pad)
 
     def parameters(self):
-        return [self.weight] + ([self.bias] if self.bias is not None else [])
+        return [self.weight]
 
     def state(self):
-        items = [(f"{self.name}.weight", self.weight.data)]
-        if self.bias is not None:
-            items.append((f"{self.name}.bias", self.bias.data))
-        return items
+        return [(f"{self.name}.weight", self.weight.data)]
 
     def out_hw(self, h, w):
         return _halve(self.name, h, w) if self.stride == 2 else (h, w)
 
     def flops(self, h, w) -> int:
         oh, ow = self.out_hw(h, w)
-        macs = self.kernel * self.kernel * self.in_ch * self.out_ch * oh * ow
-        return 2 * macs + (self.out_ch * oh * ow if self.bias is not None else 0)
+        return 2 * self.kernel * self.kernel * self.in_ch * self.out_ch * oh * ow
 
 
 class _BatchNorm(_Layer):
@@ -367,7 +346,10 @@ def _run(layers, x: Tensor, training: bool) -> Tensor:
 
 def _walk(layers, h, w):
     """(FLOPs, h, w) of ``layers`` on one (h, w) image; raises InvalidConfig
-    naming the first layer that would halve an odd dimension."""
+    for a non-positive size or naming the first layer that would halve an
+    odd dimension."""
+    if h < 1 or w < 1:
+        raise InvalidConfig(f"spatial size must be positive, got {h}x{w}")
     total = 0
     for layer in layers:
         total += layer.flops(h, w)
@@ -447,8 +429,9 @@ class Network:
     ``layers`` is the stem's layer list followed by the blocks.
     """
 
-    def __init__(self, schedule, pool, variant, num_classes, seed, conv_pad,
-                 input_mean=None, input_std=None, in_channels=3):
+    def __init__(self, schedule: StageSchedule, pool: PoolKind, variant: BlockOrderVariant,
+                 num_classes: int, seed: int = 0, conv_pad: str = "circular",
+                 input_mean=None, input_std=None, in_channels: int = 3):
         if num_classes < 2:
             raise InvalidConfig(f"num_classes must be >= 2, got {num_classes}")
         if conv_pad not in ("circular", "same"):
@@ -500,8 +483,8 @@ class Network:
         self.fc = _Linear("head.fc", in_ch, num_classes, rng)
 
     def trace_shapes(self, h: int, w: int):
-        """Walk spatial dims; raise InvalidConfig naming the first layer that
-        would halve an odd dimension."""
+        """Walk spatial dims; raise InvalidConfig for a non-positive size or
+        naming the first layer that would halve an odd dimension."""
         return _walk(self.layers, h, w)[1:]
 
     def forward(self, x, training: bool = False) -> Tensor:
@@ -527,9 +510,6 @@ class Network:
     def state(self):
         return [item for layer in self.layers for item in layer.state()] + self.fc.state()
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return dict(self.state())
-
     def load_state(self, tensors: dict[str, np.ndarray]) -> None:
         own = self.state()
         own_names = [name for name, _arr in own]
@@ -547,28 +527,12 @@ class Network:
             arr[...] = new
 
 
-def build_network(
-    schedule: StageSchedule,
-    pool: PoolKind,
-    variant: BlockOrderVariant,
-    num_classes: int,
-    seed: int = 0,
-    conv_pad: str = "circular",
-    input_mean=None,
-    input_std=None,
-    in_channels: int = 3,
-) -> Network:
-    return Network(
-        schedule, pool, variant, num_classes, seed, conv_pad, input_mean, input_std, in_channels
-    )
-
-
 # ---------------------------------------------------------------------------
 # counters
 
 
 def count_params(model: Network) -> int:
-    return int(sum(p.data.size for p in model.parameters() if p.learnable))
+    return int(sum(p.data.size for p in model.parameters()))
 
 
 def count_flops(model: Network, h: int, w: int) -> int:

@@ -26,11 +26,11 @@ from .analysis import (
     evaluate,
     load_dataset,
     build_model_from_config,
-    run_experiment,
     shift_consistency,
+    train_model,
 )
 from .config import config_hash, load_config
-from .errors import WavepoolError
+from .errors import InvalidConfig, WavepoolError
 from .filterbank import parse_wavelet
 from .imageio import read_image, write_pgm
 from .pooling import parse_pool
@@ -88,7 +88,7 @@ def _train_one(config_path: str, data_dir: str) -> str:
     digest = config_hash(cfg)
     outdir = cfg.output.dir
     ckpt_dir = os.path.join(outdir, f"run_{digest}", "checkpoints")
-    report = run_experiment(cfg, data_dir=data_dir, checkpoint_dir=ckpt_dir)
+    _model, report = train_model(cfg, data_dir=data_dir, checkpoint_dir=ckpt_dir)
     csv_path, _ = report.write(outdir, f"metrics_{digest}")
     return csv_path
 
@@ -106,13 +106,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _restore(args):
+    """(config, test split, model with the checkpoint's weights) for the
+    commands that score a checkpoint; the training split gives the input
+    normalization."""
     cfg = load_config(args.config)
     data_dir = _data_dir(args)
     train_set = load_dataset(cfg, "train", data_dir)
     test_set = load_dataset(cfg, "test", data_dir)
     model = build_model_from_config(cfg, train_set.class_count, train_set)
     bb.load_checkpoint(model, args.checkpoint)
+    return cfg, test_set, model
+
+
+def cmd_eval(args) -> int:
+    cfg, test_set, model = _restore(args)
     loss, acc = evaluate(model, test_set)
     report = MetricsReport(
         metadata={"config_hash": config_hash(cfg), "checkpoint": args.checkpoint}
@@ -142,7 +150,10 @@ def cmd_count(args) -> int:
 
 
 def _parse_freqs(text: str) -> list[float]:
-    return [float(tok) * np.pi for tok in text.split(",") if tok.strip()]
+    try:
+        return [float(tok) * np.pi for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise InvalidConfig(f"--freqs: expected a comma list of numbers, got {text!r}") from None
 
 
 def cmd_alias(args) -> int:
@@ -155,12 +166,7 @@ def cmd_alias(args) -> int:
 
 
 def cmd_consistency(args) -> int:
-    cfg = load_config(args.config)
-    data_dir = _data_dir(args)
-    train_set = load_dataset(cfg, "train", data_dir)
-    test_set = load_dataset(cfg, "test", data_dir)
-    model = build_model_from_config(cfg, train_set.class_count, train_set)
-    bb.load_checkpoint(model, args.checkpoint)
+    cfg, test_set, model = _restore(args)
     report = shift_consistency(model, test_set, args.max_shift, args.samples)
     report.metadata["config_hash"] = config_hash(cfg)
     report.metadata["pool"] = cfg.model.pool

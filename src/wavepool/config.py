@@ -29,7 +29,7 @@ Sections and keys (defaults in parentheses):
   lr_schedule (constant) | step | cosine
   milestones ()                             comma ints, step schedule
   factor (0.1)  lr_min (0.0)  period (0)    period 0: one cosine arc
-  mode (plain) | short | kd
+  mode (plain) | kd
   teacher ()  teacher_pool (max)  alpha (0.5)  temperature (4.0)
   seed (0)
 
@@ -120,7 +120,7 @@ _CHOICES = {
     ("model", "variant"): ("a", "b", "c"),
     ("model", "conv_pad"): ("circular", "same"),
     ("train", "lr_schedule"): ("constant", "step", "cosine"),
-    ("train", "mode"): ("plain", "short", "kd"),
+    ("train", "mode"): ("plain", "kd"),
 }
 
 

@@ -5,12 +5,12 @@ convolution weights are (out_channels, in_channels, kh, kw); linear weights
 are (out_features, in_features).  Convolution is cross-correlation (no
 kernel flip), the usual deep-learning convention.
 
-``conv2d`` supports three padding modes: "same" (zero padding preserving
-spatial size at stride 1, odd kernels only), "valid" (no padding), and
-"circular" (periodic wrap padding).  Circular padding makes a stride-1
-convolution exactly shift-equivariant on the torus, which is what lets a
-network of circular convolutions plus wavelet pooling achieve perfect
-consistency under full-stride input shifts.
+``conv2d`` supports two padding modes, both for odd kernels only: "same"
+(zero padding preserving spatial size at stride 1) and "circular" (periodic
+wrap padding).  Circular padding makes a stride-1 convolution exactly
+shift-equivariant on the torus, which is what lets a network of circular
+convolutions plus wavelet pooling achieve perfect consistency under
+full-stride input shifts.
 
 The forward pass extracts strided patch views (im2col) and reduces with one
 tensordot; backward folds per-tap contributions back with k*k strided slice
@@ -25,7 +25,9 @@ from numpy.lib.stride_tricks import as_strided
 from .autodiff import Tensor, make_op
 from .errors import InputTooShort, InvalidHyperparameter, OddLengthInput, ShapeMismatch
 
-PAD_MODES = ("same", "valid", "circular")
+PAD_MODES = ("same", "circular")
+BN_MOMENTUM = 0.1  # weight of the batch statistics in the running averages
+BN_EPS = 1e-5
 
 
 def _as_tensor(x) -> Tensor:
@@ -61,7 +63,7 @@ def conv2d(x, w, b=None, stride: int = 1, pad: str = "same") -> Tensor:
     w : Tensor, shape (F, C, kh, kw)
     b : Tensor of shape (F,), optional
     stride : 1 or 2
-    pad : "same", "valid" or "circular"
+    pad : "same" or "circular"
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim != 4 or w.ndim != 4:
@@ -81,17 +83,13 @@ def conv2d(x, w, b=None, stride: int = 1, pad: str = "same") -> Tensor:
         if b.shape != (F,):
             raise ShapeMismatch(f"conv2d: bias shape {b.shape} != ({F},)")
 
-    if pad == "valid":
-        ph = pw = 0
-        xp = x.data
-    else:
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise InvalidHyperparameter(f"conv2d: {pad} padding requires odd kernels, got {kh}x{kw}")
-        ph, pw = kh // 2, kw // 2
-        if pad == "circular" and (ph > H or pw > W):
-            raise InputTooShort(f"conv2d: circular pad {ph}x{pw} exceeds input {H}x{W}")
-        mode = "wrap" if pad == "circular" else "constant"
-        xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode=mode)
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise InvalidHyperparameter(f"conv2d: {pad} padding requires odd kernels, got {kh}x{kw}")
+    ph, pw = kh // 2, kw // 2
+    if pad == "circular" and (ph > H or pw > W):
+        raise InputTooShort(f"conv2d: circular pad {ph}x{pw} exceeds input {H}x{W}")
+    mode = "wrap" if pad == "circular" else "constant"
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode=mode)
 
     Hp, Wp = xp.shape[2:]
     if Hp < kh or Wp < kw:
@@ -146,8 +144,6 @@ def batchnorm2d(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Per-channel batch normalization with running statistics.
 
@@ -170,17 +166,17 @@ def batchnorm2d(
         n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
         mu = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu
         var_unbiased = var * (n / (n - 1)) if n > 1 else var
-        running_var *= 1.0 - momentum
-        running_var += momentum * var_unbiased
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var_unbiased
     else:
         n = 0
         mu = running_mean.copy()
         var = running_var.copy()
 
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 

@@ -26,12 +26,10 @@ def sgd_step(
     weight_decay: float = 0.0,
 ) -> None:
     """One in-place SGD update over ``params``; raises MissingGradient if a
-    learnable parameter has no materialized gradient."""
+    parameter has no materialized gradient."""
     if lr < 0:
         raise InvalidHyperparameter(f"lr must be >= 0, got {lr}")
     for p in params:
-        if not p.learnable:
-            continue
         g = p.materialized_grad()
         if weight_decay:
             g = g + weight_decay * p.data

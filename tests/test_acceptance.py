@@ -29,15 +29,14 @@ from test_backbone import micro_haar_variant_c_flops, schedule_params
 from wavepool.analysis import (
     dft2,
     load_dataset,
-    run_experiment,
     shift_consistency,
     train_model,
 )
 from wavepool.autodiff import Tensor, make_rng
 from wavepool.backbone import (
+    Network,
     _Conv,
     bottom_heavy,
-    build_network,
     count_flops,
     count_params,
     micro_schedule,
@@ -296,13 +295,13 @@ def test_criterion_06_counter_reproduction():
     assert sum(p.data.size for p in conv.parameters()) == 9
     assert conv.flops(8, 8) == 1152  # 2 FLOPs/MAC * 9 taps * 64 outputs
 
-    micro = build_network(
+    micro = Network(
         micro_schedule(), parse_pool("wavelet:haar"), parse_variant("c"), num_classes=4
     )
     assert count_params(micro) == schedule_params(micro_schedule(), 4) == 148_372
     assert count_flops(micro, 32, 32) == micro_haar_variant_c_flops(32, 32, 4)
 
-    resnet = build_network(
+    resnet = Network(
         resnet50_schedule(), parse_pool("strided"), parse_variant("a"), num_classes=1000
     )
     assert count_params(resnet) == schedule_params(resnet50_schedule(), 1000) == 25_557_032
@@ -312,9 +311,9 @@ def test_criterion_06_counter_reproduction():
         ("max", "c"), ("avg", "c"), ("blur:1-2-1", "c"), ("wavelet:db4", "b")
     ):
         pool, var = parse_pool(pool_text), parse_variant(variant)
-        assert count_params(build_network(micro_schedule(), pool, var, num_classes=4)) == 148_372
+        assert count_params(Network(micro_schedule(), pool, var, num_classes=4)) == 148_372
         assert (
-            count_params(build_network(resnet50_schedule(), pool, var, num_classes=1000))
+            count_params(Network(resnet50_schedule(), pool, var, num_classes=1000))
             == 25_557_032
         )
 
@@ -327,8 +326,8 @@ def test_criterion_07_bottom_heavy_tradeoff():
     """Shifting two blocks toward the stem cuts >= 25% of the ResNet50-shaped
     parameters while holding 640x512 FLOPs within +/- 5%."""
     strided, original = parse_pool("strided"), parse_variant("a")
-    base = build_network(resnet50_schedule(), strided, original, num_classes=1000)
-    heavy = build_network(
+    base = Network(resnet50_schedule(), strided, original, num_classes=1000)
+    heavy = Network(
         bottom_heavy(resnet50_schedule(), shift=2), strided, original, num_classes=1000
     )
     p0, p1 = count_params(base), count_params(heavy)
@@ -441,17 +440,15 @@ def test_criterion_09_kd_short_schedule(trained_micro_nets, tmp_path):
     teacher = trained_micro_nets["max"]
     assert teacher["report"].value("final_test_accuracy") >= 0.90
     short = dict(epochs=1, lr=0.02, lr_schedule="constant", seed=FULL_SEED)
-    plain_cfg = parse_config(
-        micro_config_text(tmp_path, "wavelet:haar", mode="short", **short)
-    )
+    plain_cfg = parse_config(micro_config_text(tmp_path, "wavelet:haar", **short))
     kd_cfg = parse_config(
         micro_config_text(
             tmp_path, "wavelet:haar", mode="kd", teacher=teacher["checkpoint"], **short
         )
     )
-    plain_report = run_experiment(plain_cfg)
-    kd_report = run_experiment(kd_cfg)
-    kd_again = run_experiment(kd_cfg)
+    plain_report = train_model(plain_cfg)[1]
+    kd_report = train_model(kd_cfg)[1]
+    kd_again = train_model(kd_cfg)[1]
     assert kd_again.metrics == kd_report.metrics  # deterministic given seeds
 
     plain_acc = plain_report.value("final_test_accuracy")

@@ -1,5 +1,6 @@
 """Spectra, alias sweeps, shift consistency, and the experiment driver."""
 
+import json
 import os
 
 import numpy as np
@@ -12,14 +13,13 @@ from wavepool.analysis import (
     dft2,
     evaluate,
     load_dataset,
-    run_experiment,
     shift_consistency,
     spectrum_energy_fraction_above,
     train_model,
 )
 from wavepool.backbone import (
+    Network,
     StageSchedule,
-    build_network,
     micro_schedule,
     parse_variant,
     read_checkpoint,
@@ -90,17 +90,19 @@ class TestMetricsReport:
         r = MetricsReport(metadata={"seed": "7", "config_hash": "abc123"})
         r.add("ratio", 1.0 / 3.0, "ratio")
         r.add("count", 25557032.0, "params")
-        back = MetricsReport.from_json(r.to_json())
-        assert back.metrics == r.metrics
-        assert back.metadata == r.metadata
+        back = json.loads(r.to_json())
+        assert {k: (e["value"], e["unit"]) for k, e in back["metrics"].items()} == r.metrics
+        assert back["metadata"] == r.metadata
 
     def test_write_emits_both_files(self, tmp_path):
         r = MetricsReport()
         r.add("x", 2.0)
         csv_path, json_path = r.write(tmp_path, "metrics_test")
         assert os.path.exists(csv_path) and os.path.exists(json_path)
-        again = MetricsReport.from_json(open(json_path).read())
-        assert again.metrics == r.metrics
+        with open(json_path, encoding="utf-8") as f:
+            assert f.read() == r.to_json()
+        with open(csv_path, encoding="utf-8") as f:
+            assert f.read() == r.to_csv()
 
 
 class TestDft2:
@@ -219,16 +221,16 @@ class TestShiftConsistency:
         # with no down-sampling every circular shift is a full-stride shift,
         # so predictions cannot move
         schedule = StageSchedule(stages=((1, 8, False),), stem_channels=8, expansion=2)
-        model = build_network(schedule, parse_pool("wavelet:haar"), parse_variant("c"),
-                              num_classes=4, seed=1, conv_pad="circular")
+        model = Network(schedule, parse_pool("wavelet:haar"), parse_variant("c"),
+                        num_classes=4, seed=1, conv_pad="circular")
         data = make_tiny_object_set(6, image_size=16, object_size=2, classes=4, seed=0)
         report = shift_consistency(model, data, max_shift=3)
         assert report.value("argmax_agreement") == 1.0
         assert report.value("logit_cosine") >= 1.0 - 1e-12
 
     def test_zero_weight_model_reports_unit_cosine_by_convention(self):
-        model = build_network(micro_schedule(), parse_pool("max"), parse_variant("c"),
-                              num_classes=4, seed=0)
+        model = Network(micro_schedule(), parse_pool("max"), parse_variant("c"),
+                        num_classes=4, seed=0)
         for _name, arr in model.state():
             arr[...] = 0.0
         data = make_tiny_object_set(4, image_size=16, object_size=2, classes=4, seed=0)
@@ -237,23 +239,25 @@ class TestShiftConsistency:
         assert report.value("argmax_agreement") == 1.0
 
     def test_scores_bounded(self):
-        model = build_network(micro_schedule(), parse_pool("strided"), parse_variant("a"),
-                              num_classes=4, seed=5, conv_pad="same")
+        model = Network(micro_schedule(), parse_pool("strided"), parse_variant("a"),
+                        num_classes=4, seed=5, conv_pad="same")
         data = make_tiny_object_set(5, image_size=16, object_size=2, classes=4, seed=2)
         report = shift_consistency(model, data, max_shift=2)
         assert 0.0 <= report.value("argmax_agreement") <= 1.0
         assert -1.0 <= report.value("logit_cosine") <= 1.0
 
     def test_sample_limit(self):
-        model = build_network(micro_schedule(), parse_pool("max"), parse_variant("c"),
-                              num_classes=4, seed=0)
+        model = Network(micro_schedule(), parse_pool("max"), parse_variant("c"),
+                        num_classes=4, seed=0)
         data = make_tiny_object_set(6, image_size=16, object_size=2, classes=4, seed=0)
         report = shift_consistency(model, data, max_shift=1, sample_limit=2)
         assert report.metadata["samples"] == "2"
+        with pytest.raises(InvalidConfig):
+            shift_consistency(model, data, max_shift=1, sample_limit=-3)
 
     def test_bad_max_shift_rejected(self):
-        model = build_network(micro_schedule(), parse_pool("max"), parse_variant("c"),
-                              num_classes=4, seed=0)
+        model = Network(micro_schedule(), parse_pool("max"), parse_variant("c"),
+                        num_classes=4, seed=0)
         data = make_tiny_object_set(2, image_size=16, object_size=2, classes=2, seed=0)
         with pytest.raises(InvalidConfig):
             shift_consistency(model, data, max_shift=0)
@@ -326,14 +330,14 @@ class TestEpochLr:
 class TestExperimentRuns:
     def test_two_runs_bit_identical(self):
         cfg = parse_config(tiny_config_text())
-        r1 = run_experiment(cfg)
-        r2 = run_experiment(cfg)
+        r1 = train_model(cfg)[1]
+        r2 = train_model(cfg)[1]
         assert r1.metrics == r2.metrics  # exact float equality, all rows
         assert r1.metadata["config_hash"] == r2.metadata["config_hash"]
 
     def test_report_contents(self):
         cfg = parse_config(tiny_config_text(epochs="2"))
-        report = run_experiment(cfg)
+        report = train_model(cfg)[1]
         for key in ("train_loss_epoch0", "train_accuracy_epoch1", "final_test_loss",
                     "final_test_accuracy", "param_count"):
             assert key in report.metrics
@@ -353,36 +357,31 @@ class TestExperimentRuns:
     def test_kd_with_full_hard_label_weight_matches_plain(self, tmp_path):
         # alpha = 1 reduces kd_loss to plain cross-entropy exactly, so the
         # whole run must be bit-identical to plain mode
-        teacher = build_network(micro_schedule(), parse_pool("max"), parse_variant("c"),
-                                num_classes=2, seed=42)
+        teacher = Network(micro_schedule(), parse_pool("max"), parse_variant("c"),
+                          num_classes=2, seed=42)
         tpath = tmp_path / "teacher.wvpk"
         save_checkpoint(teacher, tpath)
-        plain = run_experiment(parse_config(tiny_config_text()))
-        kd = run_experiment(
+        plain = train_model(parse_config(tiny_config_text()))[1]
+        kd = train_model(
             parse_config(tiny_config_text(mode="kd", teacher=str(tpath), alpha="1.0"))
-        )
+        )[1]
         assert kd.metrics == plain.metrics
 
     def test_kd_missing_teacher_raises(self):
         cfg = parse_config(tiny_config_text(mode="kd", teacher="/nonexistent/t.wvpk"))
         with pytest.raises(MissingArtifact):
-            run_experiment(cfg)
-
-    def test_short_mode_runs(self):
-        report = run_experiment(parse_config(tiny_config_text(mode="short")))
-        assert report.metadata["mode"] == "short"
-        assert "final_test_accuracy" in report.metrics
+            train_model(cfg)[1]
 
     def test_missing_dataset_raises(self):
         text = tiny_config_text().replace(
             "kind = synthetic", "kind = cifar100\npath = /nonexistent/cifar"
         )
         with pytest.raises(DatasetNotFound):
-            run_experiment(parse_config(text))
+            train_model(parse_config(text))[1]
 
     def test_evaluate_bounds(self):
-        model = build_network(micro_schedule(), parse_pool("max"), parse_variant("c"),
-                              num_classes=2, seed=0)
+        model = Network(micro_schedule(), parse_pool("max"), parse_variant("c"),
+                        num_classes=2, seed=0)
         data = make_tiny_object_set(10, image_size=16, object_size=2, classes=2, seed=1)
         loss, acc = evaluate(model, data, batch_size=4)
         assert loss > 0.0

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavepool.autodiff import (
-    Parameter,
-    Tensor,
-    grad_enabled,
-    make_rng,
-    no_grad,
-    spawn_rngs,
-)
+from wavepool.autodiff import Parameter, Tensor, make_rng, no_grad
 from wavepool.errors import MissingGradient, ShapeMismatch
 
 
@@ -21,22 +14,16 @@ class TestTensorBasics:
         t = Tensor([1, 2, 3])
         assert t.data.dtype == np.float64
 
-    def test_float32_passthrough(self):
-        t = Tensor(np.zeros(3, dtype=np.float32))
-        assert t.data.dtype == np.float32
+    def test_float32_input_stored_as_float64(self):
+        x = np.array([0.1, 1.0, -3.5], dtype=np.float32)
+        t = Tensor(x)
+        assert t.data.dtype == np.float64
+        assert np.array_equal(t.data, x.astype(np.float64))
 
     def test_item_and_shape(self):
         t = Tensor([[1.0, 2.0]])
         assert t.shape == (1, 2) and t.ndim == 2 and t.size == 2
         assert Tensor(5.0).item() == 5.0
-
-    def test_detach_cuts_tape(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = (a * 3.0).detach()
-        assert not b.requires_grad
-        c = (b * 2.0).sum()
-        c.backward()
-        assert a.grad is None
 
     def test_backward_requires_scalar(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
@@ -110,10 +97,9 @@ class TestGradMode:
     def test_no_grad_blocks_tape(self):
         a = Tensor([1.0], requires_grad=True)
         with no_grad():
-            assert not grad_enabled()
             b = a * 2.0
         assert not b.requires_grad
-        assert grad_enabled()
+        assert (a * 2.0).requires_grad
 
     def test_no_grad_restores_on_error(self):
         try:
@@ -121,7 +107,8 @@ class TestGradMode:
                 raise RuntimeError
         except RuntimeError:
             pass
-        assert grad_enabled()
+        a = Tensor([1.0], requires_grad=True)
+        assert (a * 2.0).requires_grad
 
     def test_leaf_grad_only(self):
         a = Tensor([1.0], requires_grad=True)
@@ -134,11 +121,7 @@ class TestParameter:
     def test_momentum_buffer(self):
         p = Parameter(np.zeros((2, 2)))
         assert p.momentum.shape == (2, 2) and np.all(p.momentum == 0.0)
-        assert p.learnable and p.requires_grad
-
-    def test_non_learnable(self):
-        p = Parameter(np.ones(3), learnable=False)
-        assert not p.requires_grad
+        assert p.requires_grad
 
     def test_missing_gradient(self):
         p = Parameter(np.ones(3))
@@ -159,11 +142,3 @@ class TestRng:
 
     def test_different_seeds_differ(self):
         assert make_rng(0).normal(size=4).tolist() != make_rng(1).normal(size=4).tolist()
-
-    def test_spawn_streams_independent_and_stable(self):
-        a1, b1 = spawn_rngs(42, 2)
-        a2, b2 = spawn_rngs(42, 2)
-        x1, y1 = a1.normal(size=3), b1.normal(size=3)
-        assert np.array_equal(x1, a2.normal(size=3))
-        assert np.array_equal(y1, b2.normal(size=3))
-        assert not np.array_equal(x1, y1)

@@ -20,7 +20,6 @@ from wavepool.backbone import (
     StageSchedule,
     _run,
     bottom_heavy,
-    build_network,
     count_flops,
     count_params,
     load_checkpoint,
@@ -112,14 +111,16 @@ def rng():
 
 class TestSchedules:
     def test_micro_feature_map_is_4x4_on_32x32(self):
-        model = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
         assert model.trace_shapes(32, 32) == (4, 4)
 
     def test_micro_has_three_downsamples(self):
-        assert micro_schedule().downsample_count == 3
+        model = Network(micro_schedule(), STRIDED, VARIANT_A, num_classes=4)
+        assert model.trace_shapes(32, 32) == (4, 4)
 
     def test_resnet50_shape_has_five_downsamples(self):
-        assert resnet50_schedule().downsample_count == 5
+        model = Network(resnet50_schedule(), STRIDED, VARIANT_A, num_classes=1000)
+        assert model.trace_shapes(224, 224) == (7, 7)
 
     def test_invalid_schedules_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -133,11 +134,11 @@ class TestSchedules:
 
     def test_parse_variant(self):
         assert parse_variant("a") is VARIANT_A
-        assert parse_variant("original") is VARIANT_A
         assert parse_variant("B") is VARIANT_B
-        assert parse_variant("consistent_pool_after_conv") is VARIANT_C
-        with pytest.raises(InvalidConfig):
-            parse_variant("d")
+        assert parse_variant("c") is VARIANT_C
+        for text in ("d", "original", "pool_before_conv_skip"):
+            with pytest.raises(InvalidConfig):
+                parse_variant(text)
 
 
 class TestBlockVariants:
@@ -199,13 +200,13 @@ class TestParamCounts:
         assert conv.flops(8, 8) == 1152
 
     def test_resnet50_shape_param_count_exact(self):
-        model = build_network(resnet50_schedule(), STRIDED, VARIANT_A, num_classes=1000)
+        model = Network(resnet50_schedule(), STRIDED, VARIANT_A, num_classes=1000)
         n = count_params(model)
         assert n == schedule_params(resnet50_schedule(), 1000)
         assert n == 25_557_032
 
     def test_micro_param_count_exact(self):
-        model = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
         n = count_params(model)
         assert n == schedule_params(micro_schedule(), 4)
         assert n == 148_372
@@ -219,22 +220,22 @@ class TestParamCounts:
     def test_pool_replacement_leaves_params_invariant(self, pool_text, variant):
         # every pooling operator is parameter-free and strided convs keep
         # their weight tensors, so the count never moves
-        model = build_network(micro_schedule(), parse_pool(pool_text), variant, num_classes=4)
+        model = Network(micro_schedule(), parse_pool(pool_text), variant, num_classes=4)
         assert count_params(model) == 148_372
 
     def test_wavelet_pool_itself_has_no_params(self):
-        wave = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
-        maxp = build_network(micro_schedule(), MAX, VARIANT_C, num_classes=4)
+        wave = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        maxp = Network(micro_schedule(), MAX, VARIANT_C, num_classes=4)
         assert count_params(wave) == count_params(maxp)
 
 
 class TestFlopCounts:
     def test_micro_haar_matches_hand_walked_table(self):
-        model = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
         assert count_flops(model, 32, 32) == micro_haar_variant_c_flops(32, 32, 4)
 
     def test_flops_scale_with_input_area(self):
-        model = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
         f32 = count_flops(model, 32, 32)
         f64 = count_flops(model, 64, 64)
         # constant head terms break exact 4x scaling, but barely
@@ -243,8 +244,8 @@ class TestFlopCounts:
     def test_pool_swap_changes_flops_by_pool_terms_only(self):
         # at a fixed variant the networks differ only in the pooling
         # operators, so the FLOP difference is the sum of per-site pool terms
-        wave = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
-        maxp = build_network(micro_schedule(), MAX, VARIANT_C, num_classes=4)
+        wave = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        maxp = Network(micro_schedule(), MAX, VARIANT_C, num_classes=4)
         diff = count_flops(wave, 32, 32) - count_flops(maxp, 32, 32)
         sites = []  # (channels, h, w) of each pooling site
         h = w = 32
@@ -259,9 +260,9 @@ class TestFlopCounts:
         assert diff == expected
 
     def test_wavelet_flops_grow_with_filter_length(self):
-        short = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
-        long = build_network(micro_schedule(), parse_pool("wavelet:db4"), VARIANT_C,
-                             num_classes=4)
+        short = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        long = Network(micro_schedule(), parse_pool("wavelet:db4"), VARIANT_C,
+                       num_classes=4)
         assert count_flops(long, 32, 32) > count_flops(short, 32, 32)
         assert count_params(long) == count_params(short)
 
@@ -276,8 +277,8 @@ class TestFlopCounts:
         # substituted stem sites (stride-2 conv, max pool) and every block
         # order on the ResNet50 layout; wavelet with variant a substitutes
         # the stem sites but keeps the block convs strided
-        model = build_network(resnet50_schedule(), parse_pool(pool_text),
-                              parse_variant(variant), num_classes=10)
+        model = Network(resnet50_schedule(), parse_pool(pool_text),
+                        parse_variant(variant), num_classes=10)
         assert count_params(model) == 23_528_522
         assert model.trace_shapes(224, 224) == (7, 7)
         assert count_flops(model, 224, 224) == flops
@@ -291,10 +292,9 @@ class TestBottomHeavy:
     def test_preserves_downsample_count_and_output_shape(self):
         base = resnet50_schedule()
         heavy = bottom_heavy(base, shift=2)
-        assert heavy.downsample_count == base.downsample_count
-        a = build_network(base, STRIDED, VARIANT_A, num_classes=10)
-        b = build_network(heavy, STRIDED, VARIANT_A, num_classes=10)
-        assert a.trace_shapes(64, 64) == b.trace_shapes(64, 64)
+        a = Network(base, STRIDED, VARIANT_A, num_classes=10)
+        b = Network(heavy, STRIDED, VARIANT_A, num_classes=10)
+        assert a.trace_shapes(224, 224) == b.trace_shapes(224, 224) == (7, 7)
 
     def test_moves_blocks_from_deepest_stage(self):
         base = resnet50_schedule()
@@ -305,18 +305,18 @@ class TestBottomHeavy:
         )
 
     def test_resnet50_shape_param_and_flop_relationship(self):
-        base = build_network(resnet50_schedule(), STRIDED, VARIANT_A, num_classes=1000)
-        heavy = build_network(bottom_heavy(resnet50_schedule(), shift=2), STRIDED,
-                              VARIANT_A, num_classes=1000)
+        base = Network(resnet50_schedule(), STRIDED, VARIANT_A, num_classes=1000)
+        heavy = Network(bottom_heavy(resnet50_schedule(), shift=2), STRIDED,
+                        VARIANT_A, num_classes=1000)
         p0, p1 = count_params(base), count_params(heavy)
         f0, f1 = count_flops(base, 640, 512), count_flops(heavy, 640, 512)
         assert (p0 - p1) / p0 >= 0.25
         assert abs(f1 - f0) / f0 <= 0.05
 
     def test_micro_counters_move_the_same_direction(self):
-        base = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
-        heavy = build_network(bottom_heavy(micro_schedule(), shift=1), HAAR,
-                              VARIANT_C, num_classes=4)
+        base = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        heavy = Network(bottom_heavy(micro_schedule(), shift=1), HAAR,
+                        VARIANT_C, num_classes=4)
         assert count_params(heavy) < count_params(base)
         f0, f1 = count_flops(base, 32, 32), count_flops(heavy, 32, 32)
         assert abs(f1 - f0) / f0 <= 0.05
@@ -333,7 +333,7 @@ class TestBottomHeavy:
 
 class TestNetwork:
     def test_forward_shape_and_determinism(self, rng):
-        model = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=1)
+        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=1)
         x = rng.normal(size=(3, 3, 32, 32))
         out1 = model(Tensor(x)).data
         out2 = model(Tensor(x)).data
@@ -341,50 +341,58 @@ class TestNetwork:
         assert np.array_equal(out1, out2)
 
     def test_same_seed_same_init(self):
-        a = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=7)
-        b = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=7)
+        a = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=7)
+        b = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=7)
         for (na, pa), (nb, pb) in zip(a.state(), b.state()):
             assert na == nb
             assert np.array_equal(pa, pb)
 
     def test_different_seed_different_init(self):
-        a = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=7)
-        b = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=8)
+        a = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=7)
+        b = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=8)
         assert not np.array_equal(a.stem_conv.weight.data, b.stem_conv.weight.data)
 
     def test_input_normalization_matches_manual(self, rng):
         mean, std = (0.4, 0.5, 0.6), (0.2, 0.25, 0.3)
-        norm = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=2,
-                             input_mean=mean, input_std=std)
-        plain = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=2)
+        norm = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=2,
+                       input_mean=mean, input_std=std)
+        plain = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=2)
         x = rng.uniform(size=(2, 3, 32, 32))
         xn = (x - np.asarray(mean)[None, :, None, None]) / np.asarray(std)[None, :, None, None]
         assert np.allclose(norm(Tensor(x)).data, plain(Tensor(xn)).data, atol=1e-10)
 
     def test_odd_dim_error_names_offending_layer(self):
-        model = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
         with pytest.raises(InvalidConfig, match="stage3.block0"):
             model.trace_shapes(20, 20)
 
+    @pytest.mark.parametrize("h, w", [(-32, -32), (0, 0), (32, 0), (-2, 32)])
+    def test_non_positive_size_rejected(self, h, w):
+        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        with pytest.raises(InvalidConfig, match="positive"):
+            model.trace_shapes(h, w)
+        with pytest.raises(InvalidConfig, match="positive"):
+            count_flops(model, h, w)
+
     def test_wrong_input_shape_rejected(self, rng):
-        model = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
         with pytest.raises(ShapeMismatch):
             model(Tensor(rng.normal(size=(2, 1, 32, 32))))
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfig):
-            build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=1)
+            Network(micro_schedule(), HAAR, VARIANT_C, num_classes=1)
         with pytest.raises(InvalidConfig):
-            build_network(micro_schedule(), STRIDED, VARIANT_C, num_classes=4)
+            Network(micro_schedule(), STRIDED, VARIANT_C, num_classes=4)
         with pytest.raises(InvalidConfig):
-            build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4,
-                          input_mean=(0.5, 0.5, 0.5))
+            Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4,
+                    input_mean=(0.5, 0.5, 0.5))
         with pytest.raises(ShapeMismatch):
-            build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4,
-                          input_mean=(0.5,), input_std=(0.2,))
+            Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4,
+                    input_mean=(0.5,), input_std=(0.2,))
         for pad in ("bogus", "valid"):
             with pytest.raises(InvalidConfig):
-                build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, conv_pad=pad)
+                Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, conv_pad=pad)
 
     def test_stem_sites_replaced_for_pooling_kinds(self, rng):
         # stride-2 stem conv + stem max pool both substituted when the pool
@@ -392,15 +400,15 @@ class TestNetwork:
         sched = StageSchedule(stages=((1, 8, True),), stem_channels=8, stem_kernel=3,
                               stem_stride=2, stem_pool=PoolKind.max_pool2(), expansion=2)
         for pool, variant in ((STRIDED, VARIANT_A), (HAAR, VARIANT_C)):
-            model = build_network(sched, pool, variant, num_classes=4, seed=0)
+            model = Network(sched, pool, variant, num_classes=4, seed=0)
             out = model(Tensor(rng.normal(size=(1, 3, 32, 32))))
             assert out.shape == (1, 4)
             # stem conv halves, stem pool halves, the stage halves: 32 -> 4
             assert model.trace_shapes(32, 32) == (4, 4)
 
     def test_load_state_rejects_mismatches(self, rng):
-        model = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
-        good = model.state_dict()
+        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        good = dict(model.state())
         missing = dict(good)
         missing.pop("stem.conv.weight")
         with pytest.raises(ShapeMismatch):
@@ -417,18 +425,18 @@ class TestNetwork:
 
 class TestCheckpoints:
     def test_round_trip_preserves_outputs(self, tmp_path, rng):
-        model = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=3)
+        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=3)
         x = Tensor(rng.normal(size=(2, 3, 32, 32)))
         want = model(x).data
         path = tmp_path / "model.bin"
         save_checkpoint(model, path)
-        fresh = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=99)
+        fresh = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=99)
         assert not np.allclose(fresh(x).data, want)
         load_checkpoint(fresh, path)
         assert np.array_equal(fresh(x).data, want)
 
     def test_read_checkpoint_returns_exact_tensors(self, tmp_path):
-        model = build_network(micro_schedule(), MAX, VARIANT_C, num_classes=4, seed=3)
+        model = Network(micro_schedule(), MAX, VARIANT_C, num_classes=4, seed=3)
         path = tmp_path / "model.bin"
         save_checkpoint(model, path)
         tensors = read_checkpoint(path)
@@ -450,7 +458,7 @@ class TestCheckpoints:
             read_checkpoint(path)
 
     def test_truncated_file_rejected(self, tmp_path):
-        model = build_network(micro_schedule(), MAX, VARIANT_C, num_classes=4)
+        model = Network(micro_schedule(), MAX, VARIANT_C, num_classes=4)
         path = tmp_path / "model.bin"
         save_checkpoint(model, path)
         blob = path.read_bytes()
@@ -463,7 +471,7 @@ class TestCheckpoints:
         """A small net's checkpoint bytes, and a directory to write variants to."""
         sched = StageSchedule(stages=((1, 2, True),), stem_channels=2, expansion=1)
         path = tmp_path_factory.mktemp("checkpoint") / "model.wvpk"
-        save_checkpoint(build_network(sched, HAAR, VARIANT_C, num_classes=2), path)
+        save_checkpoint(Network(sched, HAAR, VARIANT_C, num_classes=2), path)
         return path.parent, path.read_bytes()
 
     @settings(max_examples=50, deadline=None)
@@ -478,18 +486,18 @@ class TestCheckpoints:
                 read_checkpoint(path)
 
     def test_checkpoint_for_wrong_architecture_rejected(self, tmp_path):
-        small = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        small = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
         path = tmp_path / "model.bin"
         save_checkpoint(small, path)
-        other = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=7)
+        other = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=7)
         with pytest.raises(ShapeMismatch):
             load_checkpoint(other, path)
 
     def test_pool_invariant_state_dicts(self, tmp_path):
         # pooling operators are parameter-free, so checkpoints transfer
         # between pool kinds: this is what makes KD teachers loadable
-        wave = build_network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=1)
+        wave = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=1)
         path = tmp_path / "w.bin"
         save_checkpoint(wave, path)
-        maxp = build_network(micro_schedule(), MAX, VARIANT_C, num_classes=4, seed=2)
+        maxp = Network(micro_schedule(), MAX, VARIANT_C, num_classes=4, seed=2)
         load_checkpoint(maxp, path)  # must not raise

@@ -334,6 +334,12 @@ class TestCount:
         assert small["param_count"][0] == big["param_count"][0]
         assert big["flop_count"][0] > small["flop_count"][0]
 
+    def test_negative_size_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "max.config", tiny_config_text(tmp_path / "runs"))
+        assert main(["count", cfg_path, "--height", "-32", "--width", "-32"]) == 2
+        assert "positive" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
 
 class TestAlias:
     def test_haar_at_pi_ratio_in_csv(self, tmp_path):
@@ -368,6 +374,13 @@ class TestAlias:
         code = main(["alias", "max", "--freqs", "0.77", "--outdir", str(tmp_path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("freqs", ["abc", "nan", "inf", ""])
+    def test_malformed_frequency_list_exits_2(self, tmp_path, capsys, freqs):
+        code = main(["alias", "max", "--freqs", freqs, "--outdir", str(tmp_path / "out")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestConsistency:
@@ -407,6 +420,20 @@ class TestConsistency:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_samples_exits_2(self, trained_run, capsys):
+        code = main(
+            [
+                "consistency",
+                trained_run["config"],
+                "--checkpoint",
+                str(trained_run["checkpoint"]),
+                "--samples",
+                "-3",
+            ]
+        )
+        assert code == 2
+        assert "sample_limit" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

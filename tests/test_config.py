@@ -28,7 +28,7 @@ variant = b
 [train]
 epochs = 3
 lr = 0.02
-mode = short
+mode = plain
 seed = 11
 
 [output]
@@ -81,8 +81,9 @@ class TestParsing:
     def test_choice_fields_validated(self):
         with pytest.raises(InvalidConfig):
             parse_config("[model]\nvariant = d\n")
-        with pytest.raises(InvalidConfig):
-            parse_config("[train]\nmode = distill\n")
+        for mode in ("distill", "short"):
+            with pytest.raises(InvalidConfig):
+                parse_config(f"[train]\nmode = {mode}\n")
         with pytest.raises(InvalidConfig):
             parse_config("[dataset]\nkind = imagenet\npath = x\n")
 

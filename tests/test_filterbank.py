@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from wavepool import (
+from wavepool.errors import UnsupportedWavelet
+from wavepool.filterbank import (
     Family,
-    UnsupportedWavelet,
     WaveletSpec,
     check_biorthogonality,
     make_cohen,

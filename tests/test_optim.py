@@ -63,11 +63,6 @@ class TestSgdStep:
         with pytest.raises(MissingGradient):
             sgd_step([p], lr=0.1)
 
-    def test_non_learnable_param_skipped(self):
-        p = Parameter(np.ones(2), learnable=False)
-        sgd_step([p], lr=0.1)  # no grad needed, no update, no error
-        assert np.array_equal(p.data, np.ones(2))
-
     def test_negative_lr_rejected(self):
         with pytest.raises(InvalidHyperparameter):
             sgd_step([], lr=-0.1)

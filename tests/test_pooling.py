@@ -5,7 +5,7 @@ import pytest
 
 from _gradcheck import gradcheck
 from wavepool.autodiff import Tensor, make_rng
-from wavepool.backbone import Block, StageSchedule, _run, build_network, parse_variant
+from wavepool.backbone import Block, Network, StageSchedule, _run, parse_variant
 from wavepool.errors import (
     InputTooShort,
     InvalidHyperparameter,
@@ -308,8 +308,8 @@ class TestApplyReplacement:
     def test_max_site_replacement_is_bare_pool(self, rng):
         sched = StageSchedule(stages=((1, 2, False),), stem_channels=2,
                               stem_pool=PoolKind.max_pool2(), expansion=1)
-        model = build_network(sched, parse_pool("wavelet:haar"), parse_variant("c"),
-                              num_classes=2)
+        model = Network(sched, parse_pool("wavelet:haar"), parse_variant("c"),
+                        num_classes=2)
         site = model.layers[3]  # after the stem conv, bn and relu
         assert site.name == "stem.pool" and model.layers[4] is model.blocks[0]
         x = Tensor(rng.normal(size=(1, 2, 8, 8)))
@@ -344,8 +344,8 @@ class TestApplyReplacement:
 
     def test_strided_kind_reproduces_stride2_conv(self, rng):
         sched = StageSchedule(stages=((1, 2, False),), stem_channels=4, stem_stride=2)
-        model = build_network(sched, PoolKind.strided_conv(), parse_variant("a"),
-                              num_classes=2, conv_pad="same")
+        model = Network(sched, PoolKind.strided_conv(), parse_variant("a"),
+                        num_classes=2, conv_pad="same")
         conv, after = model.layers[:2]
         assert after.name == "stem.bn"  # no pool follows the conv
         x = Tensor(rng.normal(size=(1, 3, 8, 8)))

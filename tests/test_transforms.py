@@ -5,20 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavepool import (
-    InputTooShort,
-    OddLengthInput,
-    ShapeMismatch,
+from wavepool.errors import InputTooShort, OddLengthInput, ShapeMismatch
+from wavepool.filterbank import parse_wavelet, supported_wavelets
+from wavepool.transforms import (
     SubbandSet,
+    _analyze_ll,
+    _analyze_ll_adjoint,
     dwt1d,
     dwt2d,
     idwt1d,
     idwt2d,
-    parse_wavelet,
     reconstruct_lowpass,
-    supported_wavelets,
 )
-from wavepool.transforms import _analyze_ll, _analyze_ll_adjoint
 
 ALL_NAMES = list(supported_wavelets())
 ORTHOGONAL = ["haar", "db1", "db2", "db3", "db4", "ch1.1"]
