@@ -29,7 +29,7 @@ from .data import LabeledImageSet, load_cifar100, load_image_set, make_tiny_obje
 from .errors import InputTooLarge, InvalidConfig, MissingArtifact
 from .ops import kd_loss, softmax_cross_entropy
 from .optim import cosine_lr, sgd_step, step_decay, zero_grads
-from .pooling import PoolFamily, PoolKind, make_pool, parse_pool
+from .pooling import PoolKind, parse_pool
 
 
 @dataclass
@@ -123,19 +123,6 @@ def spectrum_energy_fraction_above(x, cutoff: float) -> float:
 _SWEEP_GRID = 64
 
 
-def _dc_gain(kind: PoolKind) -> float:
-    """Gain of the pooling operator on a constant input.
-
-    Wavelet low-pass filters are normalized to sqrt(2) DC gain per axis, so
-    the separable pool scales constants by 2; the linear baselines are
-    already energy-normalized, and max pooling is nonlinear (gain 1 on
-    constants).
-    """
-    if kind.family is PoolFamily.WAVELET_POOL:
-        return float(np.sum(kind.wavelet.analysis_low)) ** 2
-    return 1.0
-
-
 def _on_grid_bin(freq: float, n: int) -> int:
     # the range test comes first: it also rejects nan and inf, which round()
     # cannot take
@@ -178,8 +165,8 @@ def alias_energy_sweep(pool: PoolKind, freqs) -> MetricsReport:
     n = _SWEEP_GRID
     i = np.arange(n)
     grid = i[:, None] + i[None, :]
-    op = make_pool(pool)
-    gain = _dc_gain(pool)
+    op = pool.op()
+    gain = pool.dc_gain()
     report = MetricsReport(metadata={"pool": pool.config_string(), "grid": str(n)})
     for freq in freqs:
         k = _on_grid_bin(freq, n)

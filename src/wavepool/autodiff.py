@@ -77,9 +77,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         tag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{tag})"

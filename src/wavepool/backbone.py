@@ -27,10 +27,7 @@ Conventions used by the counters (all integers, per single input image):
   element for the bias, which only the linear head has;
 - batchnorm: 2 FLOPs per element; relu: 1; residual add: 1;
 - pooling: 1 FLOP per produced element per filter tap, as the operators
-  are actually implemented (wavelet pooling runs separable passes, so a
-  filter of length L costs L*(H*W/2) + L*(H*W/4) per channel; 2x2
-  max/avg cost 4 per output element; blur costs its two full-resolution
-  separable passes plus the subsample);
+  are actually implemented; ``PoolKind.flops`` spells it out per family;
 - global average pooling: H*W + 1 per channel.
 
 Parameter counts sum the learnable tensors (conv weights, the linear
@@ -54,7 +51,7 @@ import numpy as np
 from .autodiff import Parameter, Tensor, make_rng
 from .errors import InvalidConfig, ShapeMismatch, UnsupportedFormat
 from .ops import batchnorm2d, conv2d, global_avg_pool, linear, relu
-from .pooling import PoolFamily, PoolKind, make_pool
+from .pooling import PoolKind
 
 CHECKPOINT_MAGIC = b"WVPK"
 CHECKPOINT_VERSION = 1
@@ -68,7 +65,7 @@ class BlockOrderVariant(enum.Enum):
 
 def parse_variant(text: str) -> BlockOrderVariant:
     try:
-        return BlockOrderVariant(text.strip().lower())
+        return BlockOrderVariant(text.strip())
     except ValueError:
         raise InvalidConfig(f"unknown block variant {text!r}") from None
 
@@ -127,7 +124,7 @@ def resnet50_schedule() -> StageSchedule:
         stem_channels=64,
         stem_kernel=7,
         stem_stride=2,
-        stem_pool=PoolKind.max_pool2(),
+        stem_pool=PoolKind("max"),
         expansion=4,
     )
 
@@ -270,7 +267,7 @@ class _Pool(_Layer):
     def __init__(self, name, kind: PoolKind, ch):
         self.name = name
         self.kind, self.ch = kind, ch
-        self._op = make_pool(kind)
+        self._op = kind.op()
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return self._op(x)
@@ -279,17 +276,7 @@ class _Pool(_Layer):
         return _halve(self.name, h, w)
 
     def flops(self, h, w) -> int:
-        """1 FLOP per tap per produced element, as the operators run."""
-        fam, ch = self.kind.family, self.ch
-        if fam in (PoolFamily.MAX_POOL2, PoolFamily.AVG_POOL2):
-            return 4 * ch * (h // 2) * (w // 2)
-        if fam is PoolFamily.WAVELET_POOL:
-            L = int(self.kind.wavelet.analysis_low.size)
-            return ch * (L * h * (w // 2) + L * (h // 2) * (w // 2))
-        if fam is PoolFamily.BLUR_POOL:
-            T = len(self.kind.blur_kernel)
-            return ch * (2 * T * h * w + (h // 2) * (w // 2))
-        return ch * (h // 2) * (w // 2)  # naive decimation: one tap per output
+        return self.kind.flops(self.ch, h, w)
 
 
 class _Linear:
@@ -321,7 +308,7 @@ def _substitute(layers, pool: PoolKind, pool_first: bool = False):
     ``pool`` (preceded by it when ``pool_first``, the skip order of
     PoolBeforeConvSkip), and a bare pool site becomes ``pool`` alone.
     """
-    if pool.family is PoolFamily.STRIDED_CONV:
+    if pool.family == "strided":
         return layers
     out = []
     for layer in layers:
@@ -371,7 +358,7 @@ class Block(_Layer):
     def __init__(self, name, in_ch, out_ch, downsample, pool, variant, expansion, pad, rng):
         if in_ch < 1 or out_ch < 1:
             raise InvalidConfig(f"{name}: channel counts must be positive")
-        if variant is not BlockOrderVariant.ORIGINAL and pool.family is PoolFamily.STRIDED_CONV:
+        if variant is not BlockOrderVariant.ORIGINAL and pool.family == "strided":
             raise InvalidConfig(
                 f"{name}: variant {variant.value!r} requires a pooling operator, "
                 "not StridedConv"

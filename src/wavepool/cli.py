@@ -139,8 +139,8 @@ def cmd_eval(args) -> int:
 def cmd_count(args) -> int:
     cfg = load_config(args.config)
     model = build_model_from_config(cfg, num_classes=max(cfg.dataset.classes, 2))
-    h = args.height or cfg.dataset.image_size
-    w = args.width or cfg.dataset.image_size
+    h = cfg.dataset.image_size if args.height is None else args.height
+    w = cfg.dataset.image_size if args.width is None else args.width
     report = MetricsReport(metadata={"config_hash": config_hash(cfg)})
     report.add("param_count", bb.count_params(model), "params")
     report.add("flop_count", bb.count_flops(model, h, w), f"flops@{h}x{w}")
@@ -206,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="parameter and FLOP counters")
     p.add_argument("config")
-    p.add_argument("--height", type=int, default=0)
-    p.add_argument("--width", type=int, default=0)
+    p.add_argument("--height", type=int, default=None)
+    p.add_argument("--width", type=int, default=None)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("alias", help="alias energy sweep for one pool kind")

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,52 +209,34 @@ _COHEN = {
 }
 
 
-def make_haar() -> WaveletSpec:
-    """Orthonormal Haar wavelet: analysis_low = [1/sqrt2, 1/sqrt2]."""
-    return _spec("haar", _DB_LOW[1])
-
-
-def make_daubechies(k: int) -> WaveletSpec:
-    """Length-2k orthonormal Daubechies filter set, 1 <= k <= 4.
-
-    Daubechies(1) is the Haar wavelet.
-    """
-    if k not in _DB_LOW:
-        raise UnsupportedWavelet(f"Daubechies order {k} not supported (1..4)")
-    return _spec(f"db{k}", _DB_LOW[k])
-
-
-def make_cohen(k: int, k_dual: int) -> WaveletSpec:
-    """Biorthogonal Cohen (CDF spline) wavelet for (k, k_dual) in
-    {(1,1), (3,3), (5,5)}.
-
-    Cohen(1,1) is coefficient-identical to Haar and therefore orthogonal.
-    """
-    if (k, k_dual) == (1, 1):
-        return _spec("ch1.1", _DB_LOW[1])
-    if (k, k_dual) not in _COHEN:
-        raise UnsupportedWavelet(f"Cohen({k},{k_dual}) not supported")
-    ana, syn = _COHEN[(k, k_dual)]
-    return _spec(f"ch{k}.{k_dual}", ana, syn, family=Family.BIORTHOGONAL)
-
-
-_NAME_RE = re.compile(r"^(haar|db(?P<db>\d+)|ch(?P<ck>\d+)\.(?P<ckd>\d+))$")
+# Every shipped wavelet by config name, in the order supported_wavelets()
+# lists them.  Daubechies(1) is the Haar wavelet, and Cohen(1,1) is
+# coefficient-identical to it and therefore orthogonal.
+_WAVELETS = {
+    spec.name: spec
+    for spec in [
+        _spec("haar", _DB_LOW[1]),
+        *(_spec(f"db{k}", low) for k, low in _DB_LOW.items()),
+        _spec("ch1.1", _DB_LOW[1]),
+        *(_spec(f"ch{k}.{k_dual}", ana, syn, family=Family.BIORTHOGONAL)
+          for (k, k_dual), (ana, syn) in _COHEN.items()),
+    ]
+}
 
 
 def parse_wavelet(name: str) -> WaveletSpec:
-    """Build a spec from a config string: "haar", "db{k}" or "ch{k}.{k~}"."""
-    m = _NAME_RE.match(name.strip())
-    if m is None:
-        raise UnsupportedWavelet(f"cannot parse wavelet name {name!r}")
-    if m.group("db") is not None:
-        return make_daubechies(int(m.group("db")))
-    if m.group("ck") is not None:
-        return make_cohen(int(m.group("ck")), int(m.group("ckd")))
-    return make_haar()
+    """The spec for a config name (surrounding whitespace ignored): one of
+    ``supported_wavelets()``."""
+    try:
+        return _WAVELETS[name.strip()]
+    except KeyError:
+        raise UnsupportedWavelet(
+            f"unknown wavelet {name!r}; supported: {', '.join(_WAVELETS)}"
+        ) from None
 
 
 def supported_wavelets() -> tuple[str, ...]:
-    return ("haar", "db1", "db2", "db3", "db4", "ch1.1", "ch3.3", "ch5.5")
+    return tuple(_WAVELETS)
 
 
 def _aligned_correlation(a: np.ndarray, b: np.ndarray, offset: int) -> np.ndarray:

@@ -17,14 +17,14 @@ backward passes:
 - ``subsample2``: naive decimation at even indices; the aliasing-prone
   baseline a strided convolution reduces to for frequency analysis.
 
-``PoolKind`` is the small config value the backbone builder consumes; it is
+``PoolKind`` is the one description of a down-sampling operator: it is
 parsed from strings like "max", "avg", "strided", "blur:1-2-1" or
-"wavelet:haar".
+"wavelet:haar", and gives the operator (``op``), its FLOP cost (``flops``)
+and its gain on constants (``dc_gain``).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,74 +36,95 @@ from .ops import _as_tensor
 from .transforms import _analyze_ll, _analyze_ll_adjoint
 
 DEFAULT_BLUR_KERNEL = (0.25, 0.5, 0.25)
+FAMILIES = ("max", "avg", "strided", "blur", "wavelet")
 
 
-class PoolFamily(enum.Enum):
-    MAX_POOL2 = "max"
-    AVG_POOL2 = "avg"
-    STRIDED_CONV = "strided"
-    BLUR_POOL = "blur"
-    WAVELET_POOL = "wavelet"
+def _check_blur_kernel(kernel) -> np.ndarray:
+    """The kernel as a float array; raises InvalidHyperparameter unless it is
+    1D, odd-length, non-negative and sums to 1."""
+    k = np.asarray(kernel, dtype=np.float64)
+    if k.ndim != 1 or k.size % 2 == 0:
+        raise InvalidHyperparameter(f"blur kernel must be 1D odd-length, got shape {k.shape}")
+    if k.min() < 0 or abs(k.sum() - 1.0) > 1e-12:
+        raise InvalidHyperparameter("blur kernel must be non-negative and sum to 1")
+    return k
 
 
 @dataclass(frozen=True)
 class PoolKind:
     """Which down-sampling operator a network site uses.
 
-    ``blur_kernel`` is set only for BLUR_POOL (non-negative, unit sum, odd
-    length); ``wavelet`` only for WAVELET_POOL.
+    ``family`` is one of ``FAMILIES``; ``blur_kernel`` is set only for
+    "blur", ``wavelet`` only for "wavelet".
     """
 
-    family: PoolFamily
+    family: str
     blur_kernel: tuple[float, ...] | None = None
     wavelet: WaveletSpec | None = None
 
     def __post_init__(self):
-        if self.family is PoolFamily.BLUR_POOL:
-            k = self.blur_kernel
-            if k is None or len(k) % 2 == 0 or len(k) < 1:
-                raise InvalidHyperparameter("blur kernel must have odd length")
-            if any(v < 0 for v in k):
-                raise InvalidHyperparameter("blur kernel must be non-negative")
-            if abs(sum(k) - 1.0) > 1e-12:
-                raise InvalidHyperparameter(f"blur kernel must sum to 1, got {sum(k)}")
+        if self.family not in FAMILIES:
+            raise InvalidHyperparameter(f"unknown pool family {self.family!r}")
+        if self.family == "blur":
+            _check_blur_kernel(self.blur_kernel)
         elif self.blur_kernel is not None:
             raise InvalidHyperparameter("blur_kernel only valid for blur pooling")
-        if (self.wavelet is not None) != (self.family is PoolFamily.WAVELET_POOL):
+        if (self.wavelet is not None) != (self.family == "wavelet"):
             raise InvalidHyperparameter("wavelet spec required iff family is wavelet")
 
-    @classmethod
-    def max_pool2(cls) -> "PoolKind":
-        return cls(PoolFamily.MAX_POOL2)
+    def op(self):
+        """The unary Tensor -> Tensor operator.
 
-    @classmethod
-    def avg_pool2(cls) -> "PoolKind":
-        return cls(PoolFamily.AVG_POOL2)
+        The pool functions are read as module globals on each call, so a
+        network built after ``pooling.max_pool2`` (say) is replaced runs the
+        replacement.  "strided" has no standalone pooling action (the
+        decimation lives in the convolution); its operator is naive
+        subsampling, which is exactly what the frequency analysis needs as
+        the aliasing baseline.
+        """
+        if self.family == "blur":
+            return lambda x: blur_pool(x, self.blur_kernel)
+        if self.family == "wavelet":
+            return lambda x: wavelet_pool(x, self.wavelet)
+        return {"max": max_pool2, "avg": avg_pool2, "strided": subsample2}[self.family]
 
-    @classmethod
-    def strided_conv(cls) -> "PoolKind":
-        return cls(PoolFamily.STRIDED_CONV)
+    def flops(self, ch: int, h: int, w: int) -> int:
+        """Forward FLOPs on one (ch, h, w) input: 1 per filter tap per
+        produced element, as the operators run.  Wavelet pooling runs
+        separable passes, so a filter of length L costs L*(h*w/2) +
+        L*(h*w/4) per channel; 2x2 max/avg cost 4 per output element; blur
+        costs its two full-resolution separable passes plus the subsample;
+        naive decimation costs one per output element."""
+        oh, ow = h // 2, w // 2
+        if self.family == "wavelet":
+            L = int(self.wavelet.analysis_low.size)
+            return ch * (L * h * ow + L * oh * ow)
+        if self.family == "blur":
+            return ch * (2 * len(self.blur_kernel) * h * w + oh * ow)
+        return (4 if self.family in ("max", "avg") else 1) * ch * oh * ow
 
-    @classmethod
-    def blur_pool(cls, kernel=DEFAULT_BLUR_KERNEL) -> "PoolKind":
-        return cls(PoolFamily.BLUR_POOL, blur_kernel=tuple(float(v) for v in kernel))
+    def dc_gain(self) -> float:
+        """Gain of the operator on a constant input.
 
-    @classmethod
-    def wavelet_pool(cls, spec) -> "PoolKind":
-        if isinstance(spec, str):
-            spec = parse_wavelet(spec)
-        return cls(PoolFamily.WAVELET_POOL, wavelet=spec)
+        Wavelet low-pass filters are normalized to sqrt(2) DC gain per axis,
+        so the separable pool scales constants by 2; the linear baselines
+        are already energy-normalized, and max pooling is nonlinear (gain 1
+        on constants).
+        """
+        if self.family == "wavelet":
+            return float(np.sum(self.wavelet.analysis_low)) ** 2
+        return 1.0
 
     def config_string(self) -> str:
-        if self.family is PoolFamily.BLUR_POOL:
+        if self.family == "blur":
             scale = min(v for v in self.blur_kernel if v > 0)
             ints = [v / scale for v in self.blur_kernel]
             if all(abs(v - round(v)) < 1e-9 for v in ints):
                 return "blur:" + "-".join(str(int(round(v))) for v in ints)
             return "blur:" + "-".join(repr(v) for v in self.blur_kernel)
-        if self.family is PoolFamily.WAVELET_POOL:
+        if self.family == "wavelet":
             return f"wavelet:{self.wavelet.name}"
-        return self.family.value
+        return self.family
 
 
 def parse_pool(text: str) -> PoolKind:
@@ -111,15 +132,11 @@ def parse_pool(text: str) -> PoolKind:
     wavelet:<name>."""
     text = text.strip()
     head, _, arg = text.partition(":")
-    if head == "max" and not arg:
-        return PoolKind.max_pool2()
-    if head == "avg" and not arg:
-        return PoolKind.avg_pool2()
-    if head == "strided" and not arg:
-        return PoolKind.strided_conv()
+    if head in ("max", "avg", "strided") and not arg:
+        return PoolKind(head)
     if head == "blur":
         if not arg:
-            return PoolKind.blur_pool()
+            return PoolKind("blur", DEFAULT_BLUR_KERNEL)
         try:
             weights = [float(v) for v in arg.split("-")]
         except ValueError:
@@ -127,9 +144,9 @@ def parse_pool(text: str) -> PoolKind:
         total = sum(weights)
         if total <= 0:
             raise InvalidHyperparameter(f"blur kernel must have positive sum, got {arg!r}")
-        return PoolKind.blur_pool([v / total for v in weights])
+        return PoolKind("blur", tuple(v / total for v in weights))
     if head == "wavelet" and arg:
-        return PoolKind.wavelet_pool(arg)
+        return PoolKind("wavelet", wavelet=parse_wavelet(arg))
     raise InvalidHyperparameter(f"cannot parse pool kind {text!r}")
 
 
@@ -244,11 +261,7 @@ def blur_pool(x, kernel=DEFAULT_BLUR_KERNEL) -> Tensor:
     """Separable depthwise blur (reflect padding) then stride-2 subsample."""
     x = _as_tensor(x)
     N, C, H, W = _check_even_4d(x, "blur_pool")
-    k = np.asarray(kernel, dtype=np.float64)
-    if k.ndim != 1 or k.size % 2 == 0:
-        raise InvalidHyperparameter(f"blur kernel must be 1D odd-length, got shape {k.shape}")
-    if k.min() < 0 or abs(k.sum() - 1.0) > 1e-12:
-        raise InvalidHyperparameter("blur kernel must be non-negative and sum to 1")
+    k = _check_blur_kernel(kernel)
     p = k.size // 2
     if p >= min(H, W):
         raise InputTooShort(f"blur kernel radius {p} too large for {H}x{W} input")
@@ -263,33 +276,4 @@ def blur_pool(x, kernel=DEFAULT_BLUR_KERNEL) -> Tensor:
         return (_blur_last_adjoint(np.swapaxes(d, -1, -2), k, W),)
 
     return make_op(out, (x,), backward_fn)
-
-
-def make_pool(kind: PoolKind):
-    """Turn a PoolKind into a unary Tensor -> Tensor operator.
-
-    STRIDED_CONV has no standalone pooling action (the decimation lives in
-    the convolution); its operator is naive subsampling, which is exactly
-    what the frequency analysis needs as the aliasing baseline.
-    """
-    fam = kind.family
-    if fam is PoolFamily.MAX_POOL2:
-        return max_pool2
-    if fam is PoolFamily.AVG_POOL2:
-        return avg_pool2
-    if fam is PoolFamily.BLUR_POOL:
-        kernel = kind.blur_kernel
-
-        def blur(x):
-            return blur_pool(x, kernel)
-
-        return blur
-    if fam is PoolFamily.WAVELET_POOL:
-        spec = kind.wavelet
-
-        def wave(x):
-            return wavelet_pool(x, spec)
-
-        return wave
-    return subsample2
 

@@ -165,9 +165,6 @@ def dwt2d(X, spec: WaveletSpec) -> SubbandSet:
 
 def idwt2d(s: SubbandSet, spec: WaveletSpec) -> np.ndarray:
     """Inverse of dwt2d: transposed synthesis operators on both axes."""
-    shapes = {s.ll.shape, s.lh.shape, s.hl.shape, s.hh.shape}
-    if len(shapes) != 1:
-        raise ShapeMismatch(f"idwt2d: subband shapes differ: {sorted(shapes)}")
     h2, w2 = s.ll.shape
     lo, hi = spec.synthesis_low_offset, spec.synthesis_high_offset
     low_branch = _synthesize_height(

@@ -46,12 +46,7 @@ from wavepool.backbone import (
 from wavepool.cli import main as cli_main
 from wavepool.config import config_hash, load_config, parse_config
 from wavepool.errors import InputTooShort
-from wavepool.filterbank import (
-    check_biorthogonality,
-    make_cohen,
-    make_haar,
-    parse_wavelet,
-)
+from wavepool.filterbank import check_biorthogonality, parse_wavelet
 from wavepool.ops import batchnorm2d, conv2d, kd_loss, linear, relu
 from wavepool.pooling import avg_pool2, blur_pool, parse_pool, wavelet_pool
 from wavepool.transforms import dwt1d, dwt2d, idwt1d, idwt2d
@@ -110,7 +105,7 @@ def test_criterion_02_filter_validity():
     for name in WAVELETS:
         residual = check_biorthogonality(parse_wavelet(name)).max_residual
         assert residual <= 1e-10, f"{name}: residual {residual:.3e}"
-    cohen, haar = make_cohen(1, 1), make_haar()
+    cohen, haar = parse_wavelet("ch1.1"), parse_wavelet("haar")
     for bank in ("analysis_low", "analysis_high", "synthesis_low", "synthesis_high"):
         assert np.array_equal(getattr(cohen, bank), getattr(haar, bank))
 

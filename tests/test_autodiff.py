@@ -128,13 +128,6 @@ class TestParameter:
         with pytest.raises(MissingGradient):
             p.materialized_grad()
 
-    def test_zero_grad(self):
-        p = Parameter(np.ones(1))
-        (p * 2.0).sum().backward()
-        assert p.grad is not None
-        p.zero_grad()
-        assert p.grad is None
-
 
 class TestRng:
     def test_same_seed_same_stream(self):

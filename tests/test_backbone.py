@@ -134,9 +134,9 @@ class TestSchedules:
 
     def test_parse_variant(self):
         assert parse_variant("a") is VARIANT_A
-        assert parse_variant("B") is VARIANT_B
+        assert parse_variant("b") is VARIANT_B
         assert parse_variant("c") is VARIANT_C
-        for text in ("d", "original", "pool_before_conv_skip"):
+        for text in ("d", "B", "original", "pool_before_conv_skip"):
             with pytest.raises(InvalidConfig):
                 parse_variant(text)
 
@@ -398,7 +398,7 @@ class TestNetwork:
         # stride-2 stem conv + stem max pool both substituted when the pool
         # kind is not StridedConv; spatial bookkeeping must agree
         sched = StageSchedule(stages=((1, 8, True),), stem_channels=8, stem_kernel=3,
-                              stem_stride=2, stem_pool=PoolKind.max_pool2(), expansion=2)
+                              stem_stride=2, stem_pool=PoolKind("max"), expansion=2)
         for pool, variant in ((STRIDED, VARIANT_A), (HAAR, VARIANT_C)):
             model = Network(sched, pool, variant, num_classes=4, seed=0)
             out = model(Tensor(rng.normal(size=(1, 3, 32, 32))))

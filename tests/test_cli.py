@@ -336,9 +336,10 @@ class TestCount:
 
     def test_negative_size_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "max.config", tiny_config_text(tmp_path / "runs"))
-        assert main(["count", cfg_path, "--height", "-32", "--width", "-32"]) == 2
-        assert "positive" in capsys.readouterr().err
-        assert not (tmp_path / "runs").exists()
+        for size in ("-32", "0"):
+            assert main(["count", cfg_path, "--height", size, "--width", size]) == 2
+            assert "positive" in capsys.readouterr().err
+            assert not (tmp_path / "runs").exists()
 
 
 class TestAlias:

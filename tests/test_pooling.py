@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _gradcheck import gradcheck
+from wavepool import pooling
 from wavepool.autodiff import Tensor, make_rng
 from wavepool.backbone import Block, Network, StageSchedule, _run, parse_variant
 from wavepool.errors import (
@@ -16,11 +17,9 @@ from wavepool.filterbank import parse_wavelet
 from wavepool.ops import conv2d
 from wavepool.pooling import (
     DEFAULT_BLUR_KERNEL,
-    PoolFamily,
     PoolKind,
     avg_pool2,
     blur_pool,
-    make_pool,
     max_pool2,
     parse_pool,
     subsample2,
@@ -44,25 +43,30 @@ def checkerboard(h, w):
 class TestPoolKind:
     def test_blur_kernel_must_be_odd_length(self):
         with pytest.raises(InvalidHyperparameter):
-            PoolKind(PoolFamily.BLUR_POOL, blur_kernel=(0.5, 0.5))
+            PoolKind("blur", blur_kernel=(0.5, 0.5))
 
     def test_blur_kernel_must_be_nonnegative(self):
         with pytest.raises(InvalidHyperparameter):
-            PoolKind(PoolFamily.BLUR_POOL, blur_kernel=(-0.5, 2.0, -0.5))
+            PoolKind("blur", blur_kernel=(-0.5, 2.0, -0.5))
 
     def test_blur_kernel_must_sum_to_one(self):
         with pytest.raises(InvalidHyperparameter):
-            PoolKind(PoolFamily.BLUR_POOL, blur_kernel=(0.3, 0.3, 0.3))
+            PoolKind("blur", blur_kernel=(0.3, 0.3, 0.3))
 
     def test_blur_kernel_rejected_on_other_families(self):
         with pytest.raises(InvalidHyperparameter):
-            PoolKind(PoolFamily.MAX_POOL2, blur_kernel=(0.25, 0.5, 0.25))
+            PoolKind("max", blur_kernel=(0.25, 0.5, 0.25))
 
     def test_wavelet_spec_required_iff_wavelet_family(self):
         with pytest.raises(InvalidHyperparameter):
-            PoolKind(PoolFamily.WAVELET_POOL)
+            PoolKind("wavelet")
         with pytest.raises(InvalidHyperparameter):
-            PoolKind(PoolFamily.AVG_POOL2, wavelet=parse_wavelet("haar"))
+            PoolKind("avg", wavelet=parse_wavelet("haar"))
+
+    @pytest.mark.parametrize("family", ["median", "MAX", "", "blur:1-2-1"])
+    def test_unknown_family_rejected(self, family):
+        with pytest.raises(InvalidHyperparameter):
+            PoolKind(family)
 
     @pytest.mark.parametrize(
         "text",
@@ -290,16 +294,39 @@ class TestAliasAttenuation:
         assert naive_ratio >= 0.95
 
 
-class TestMakePool:
+class TestPoolOp:
     def test_families_map_to_operators(self, rng):
         x = Tensor(rng.normal(size=(1, 1, 8, 8)))
-        assert make_pool(PoolKind.max_pool2()) is max_pool2
-        assert make_pool(PoolKind.avg_pool2()) is avg_pool2
-        assert make_pool(PoolKind.strided_conv()) is subsample2
-        blur_out = make_pool(parse_pool("blur:1-2-1"))(x)
+        assert PoolKind("max").op() is max_pool2
+        assert PoolKind("avg").op() is avg_pool2
+        assert PoolKind("strided").op() is subsample2
+        blur_out = parse_pool("blur:1-2-1").op()(x)
         assert np.allclose(blur_out.data, blur_pool(x).data)
-        wave_out = make_pool(parse_pool("wavelet:haar"))(x)
+        wave_out = parse_pool("wavelet:haar").op()(x)
         assert np.allclose(wave_out.data, wavelet_pool(x, parse_wavelet("haar")).data)
+
+    def test_network_runs_pool_functions_patched_before_it_is_built(self, rng, monkeypatch):
+        # span tracing replaces the module attributes before building a
+        # network, so op() must read them when it is called
+        calls = []
+
+        def recording(fn):
+            def wrapped(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(pooling, "max_pool2", recording(max_pool2))
+        monkeypatch.setattr(pooling, "wavelet_pool", recording(wavelet_pool))
+        sched = StageSchedule(stages=((1, 2, True),), stem_channels=2,
+                              stem_pool=PoolKind("max"), expansion=1)
+        model = Network(sched, parse_pool("strided"), parse_variant("a"), num_classes=2)
+        model(Tensor(rng.normal(size=(1, 3, 8, 8))))
+        assert calls == ["max_pool2"]
+        calls.clear()
+        model = Network(sched, parse_pool("wavelet:haar"), parse_variant("c"), num_classes=2)
+        model(Tensor(rng.normal(size=(1, 3, 8, 8))))
+        assert calls == ["wavelet_pool"] * 3  # stem site, main path, skip path
 
 
 class TestApplyReplacement:
@@ -307,7 +334,7 @@ class TestApplyReplacement:
 
     def test_max_site_replacement_is_bare_pool(self, rng):
         sched = StageSchedule(stages=((1, 2, False),), stem_channels=2,
-                              stem_pool=PoolKind.max_pool2(), expansion=1)
+                              stem_pool=PoolKind("max"), expansion=1)
         model = Network(sched, parse_pool("wavelet:haar"), parse_variant("c"),
                         num_classes=2)
         site = model.layers[3]  # after the stem conv, bn and relu
@@ -344,7 +371,7 @@ class TestApplyReplacement:
 
     def test_strided_kind_reproduces_stride2_conv(self, rng):
         sched = StageSchedule(stages=((1, 2, False),), stem_channels=4, stem_stride=2)
-        model = Network(sched, PoolKind.strided_conv(), parse_variant("a"),
+        model = Network(sched, PoolKind("strided"), parse_variant("a"),
                         num_classes=2, conv_pad="same")
         conv, after = model.layers[:2]
         assert after.name == "stem.bn"  # no pool follows the conv
