@@ -273,6 +273,9 @@ class _Pool(_Layer):
         return self._op(x)
 
     def out_hw(self, h, w):
+        if min(h, w) < self.kind.min_size():
+            raise InvalidConfig(f"{self.name}: input {h}x{w} is below the minimum side "
+                                f"{self.kind.min_size()} of {self.kind.config_string()}")
         return _halve(self.name, h, w)
 
     def flops(self, h, w) -> int:
@@ -334,7 +337,7 @@ def _run(layers, x: Tensor, training: bool) -> Tensor:
 def _walk(layers, h, w):
     """(FLOPs, h, w) of ``layers`` on one (h, w) image; raises InvalidConfig
     for a non-positive size or naming the first layer that would halve an
-    odd dimension."""
+    odd dimension or pool an input its operator rejects as too small."""
     if h < 1 or w < 1:
         raise InvalidConfig(f"spatial size must be positive, got {h}x{w}")
     total = 0
@@ -471,7 +474,8 @@ class Network:
 
     def trace_shapes(self, h: int, w: int):
         """Walk spatial dims; raise InvalidConfig for a non-positive size or
-        naming the first layer that would halve an odd dimension."""
+        naming the first layer that would halve an odd dimension or pool
+        too small an input."""
         return _walk(self.layers, h, w)[1:]
 
     def forward(self, x, training: bool = False) -> Tensor:

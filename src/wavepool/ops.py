@@ -34,26 +34,6 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _fold_axis_wrap(a: np.ndarray, p: int, n: int, axis: int) -> np.ndarray:
-    """Fold periodic padding gradient back: strip of width p on each side of
-    an axis of core length n is added to the opposite end of the core."""
-    if p == 0:
-        return a
-    idx = [slice(None)] * a.ndim
-
-    def take(s):
-        idx[axis] = s
-        return a[tuple(idx)]
-
-    core = take(slice(p, p + n)).copy()
-    cidx = [slice(None)] * a.ndim
-    cidx[axis] = slice(n - p, n)
-    core[tuple(cidx)] += take(slice(0, p))
-    cidx[axis] = slice(0, p)
-    core[tuple(cidx)] += take(slice(p + n, p + n + p))
-    return core
-
-
 def conv2d(x, w, b=None, stride: int = 1, pad: str = "same") -> Tensor:
     """2D cross-correlation with optional bias.
 
@@ -121,13 +101,13 @@ def conv2d(x, w, b=None, stride: int = 1, pad: str = "same") -> Tensor:
                     dxp[:, :, u:u + stride * Ho:stride, v:v + stride * Wo:stride] += (
                         tap.transpose(0, 3, 1, 2)
                     )
-            if ph or pw:
-                if pad == "circular":
-                    dxp = _fold_axis_wrap(dxp, ph, H, axis=2)
-                    dxp = _fold_axis_wrap(dxp, pw, W, axis=3)
-                else:
-                    dxp = dxp[:, :, ph:ph + H, pw:pw + W]
-            dx = dxp
+            if pad == "circular":
+                # each padded strip is a copy of the far end of the core
+                dxp[:, :, H:H + ph] += dxp[:, :, :ph]
+                dxp[:, :, ph:2 * ph] += dxp[:, :, H + ph:]
+                dxp[:, :, :, W:W + pw] += dxp[:, :, :, :pw]
+                dxp[:, :, :, pw:2 * pw] += dxp[:, :, :, W + pw:]
+            dx = dxp[:, :, ph:ph + H, pw:pw + W]
         if b is None:
             return (dx, dw)
         db = g.sum(axis=(0, 2, 3)) if b.requires_grad else None

@@ -33,7 +33,7 @@ from .autodiff import Tensor, make_op
 from .errors import InputTooShort, InvalidHyperparameter, OddLengthInput, ShapeMismatch
 from .filterbank import WaveletSpec, parse_wavelet
 from .ops import _as_tensor
-from .transforms import _analyze_ll, _analyze_ll_adjoint
+from .transforms import _analyze_ll, _analyze_ll_adjoint, _as_input, _at
 
 DEFAULT_BLUR_KERNEL = (0.25, 0.5, 0.25)
 FAMILIES = ("max", "avg", "strided", "blur", "wavelet")
@@ -41,11 +41,12 @@ FAMILIES = ("max", "avg", "strided", "blur", "wavelet")
 
 def _check_blur_kernel(kernel) -> np.ndarray:
     """The kernel as a float array; raises InvalidHyperparameter unless it is
-    1D, odd-length, non-negative and sums to 1."""
+    1D, odd-length, non-negative and sums to 1 (comparisons written so that
+    NaN fails them)."""
     k = np.asarray(kernel, dtype=np.float64)
     if k.ndim != 1 or k.size % 2 == 0:
         raise InvalidHyperparameter(f"blur kernel must be 1D odd-length, got shape {k.shape}")
-    if k.min() < 0 or abs(k.sum() - 1.0) > 1e-12:
+    if not k.min() >= 0 or not abs(k.sum() - 1.0) <= 1e-12:
         raise InvalidHyperparameter("blur kernel must be non-negative and sum to 1")
     return k
 
@@ -103,6 +104,15 @@ class PoolKind:
             return ch * (2 * len(self.blur_kernel) * h * w + oh * ow)
         return (4 if self.family in ("max", "avg") else 1) * ch * oh * ow
 
+    def min_size(self) -> int:
+        """Smallest input side the operator accepts: the wavelet filter
+        length, the blur radius plus one, or one 2x2 window."""
+        if self.family == "wavelet":
+            return self.wavelet.max_length
+        if self.family == "blur":
+            return len(self.blur_kernel) // 2 + 1
+        return 2
+
     def dc_gain(self) -> float:
         """Gain of the operator on a constant input.
 
@@ -142,8 +152,8 @@ def parse_pool(text: str) -> PoolKind:
         except ValueError:
             raise InvalidHyperparameter(f"cannot parse blur kernel {arg!r}") from None
         total = sum(weights)
-        if total <= 0:
-            raise InvalidHyperparameter(f"blur kernel must have positive sum, got {arg!r}")
+        if not 0 < total < np.inf:
+            raise InvalidHyperparameter(f"blur kernel must have positive finite sum, got {arg!r}")
         return PoolKind("blur", tuple(v / total for v in weights))
     if head == "wavelet" and arg:
         return PoolKind("wavelet", wavelet=parse_wavelet(arg))
@@ -167,11 +177,7 @@ def wavelet_pool(x, spec: WaveletSpec) -> Tensor:
     absorbs the constant.
     """
     x = _as_tensor(x)
-    N, C, H, W = _check_even_4d(x, "wavelet_pool")
-    if H < spec.max_length or W < spec.max_length:
-        raise InputTooShort(
-            f"wavelet_pool: input {H}x{W} shorter than filter length {spec.max_length}"
-        )
+    H, W = _as_input(x.data, spec, "wavelet_pool", 4).shape[2:]
 
     def backward_fn(g):
         return (_analyze_ll_adjoint(g, spec, H, W),)
@@ -240,21 +246,27 @@ def _reflect_index(j: np.ndarray, n: int) -> np.ndarray:
     return np.where(j >= n, 2 * (n - 1) - j, j)
 
 
-def _blur_last(data: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    n = data.shape[-1]
+def _blur(data: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """Correlation with ``kernel`` along ``axis`` (-1 or -2), centered, over
+    a reflect-padded copy."""
+    n = data.shape[axis]
     p = kernel.size // 2
-    src = _reflect_index(np.arange(n)[:, None] + np.arange(-p, p + 1)[None, :], n)
-    return data[..., src] @ kernel
+    ext = data[_at(_reflect_index(np.arange(-p, n + p), n), axis)]
+    out = kernel[0] * ext[_at(slice(0, n), axis)]
+    for t in range(1, kernel.size):
+        out += kernel[t] * ext[_at(slice(t, t + n), axis)]
+    return out
 
 
-def _blur_last_adjoint(g: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
+def _blur_adjoint(g: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """Adjoint of ``_blur``: each tap scatters back through the reflected
+    indices."""
+    n = g.shape[axis]
     p = kernel.size // 2
-    src = _reflect_index(np.arange(n)[:, None] + np.arange(-p, p + 1)[None, :], n)
-    gm = np.moveaxis(g, -1, 0)
-    acc = np.zeros((n,) + gm.shape[1:])
+    out = np.zeros_like(g)
     for t in range(kernel.size):
-        np.add.at(acc, src[:, t], kernel[t] * gm)
-    return np.moveaxis(acc, 0, -1)
+        np.add.at(out, _at(_reflect_index(np.arange(t - p, t - p + n), n), axis), kernel[t] * g)
+    return out
 
 
 def blur_pool(x, kernel=DEFAULT_BLUR_KERNEL) -> Tensor:
@@ -266,14 +278,12 @@ def blur_pool(x, kernel=DEFAULT_BLUR_KERNEL) -> Tensor:
     if p >= min(H, W):
         raise InputTooShort(f"blur kernel radius {p} too large for {H}x{W} input")
 
-    blurred = _blur_last(np.swapaxes(_blur_last(x.data, k), -1, -2), k)
-    out = np.swapaxes(blurred, -1, -2)[:, :, ::2, ::2].copy()
+    out = _blur(_blur(x.data, k, -1), k, -2)[:, :, ::2, ::2].copy()
 
     def backward_fn(g):
         gfull = np.zeros((N, C, H, W))
         gfull[:, :, ::2, ::2] = g
-        d = _blur_last_adjoint(np.swapaxes(gfull, -1, -2), k, H)
-        return (_blur_last_adjoint(np.swapaxes(d, -1, -2), k, W),)
+        return (_blur_adjoint(_blur_adjoint(gfull, k, -2), k, -1),)
 
     return make_op(out, (x,), backward_fn)
 

@@ -16,9 +16,11 @@ change operation counts downstream and break the exact-adjoint property the
 training code relies on.  Only single-level transforms are provided;
 multi-level decomposition is composition at the call site.
 
-All public entry points accept plain vectors/matrices.  The private
-``_analyze_pair_2d`` / ``_synthesize_ll_adjoint`` helpers accept arbitrary
-leading batch axes and back the pooling layers.
+All public entry points accept plain vectors/matrices.  Every transform
+composes one private pair acting along a chosen axis: ``_analyze`` (the
+decimating periodic correlation) and its adjoint ``_synthesize``.
+``_analyze_ll`` and its exact adjoint ``_analyze_ll_adjoint`` accept
+arbitrary leading batch axes and back the wavelet pooling layer.
 """
 
 from __future__ import annotations
@@ -52,67 +54,65 @@ class SubbandSet:
             raise ShapeMismatch("subbands must be matrices")
 
 
-def _analyze_last(x: np.ndarray, filt: np.ndarray) -> np.ndarray:
-    """Decimating correlation along the last axis: out[..., m] = sum_i
-    filt[i] * x[..., (2m + i) mod n].
+def _at(s, axis: int) -> tuple:
+    """Index applying ``s`` along ``axis`` (-1 or -2) of an array."""
+    return (Ellipsis, s) + (slice(None),) * (-1 - axis)
+
+
+def _analyze(x: np.ndarray, filt: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Decimating periodic correlation along ``axis``: out[m] = sum_i
+    filt[i] * x[(2m + i) mod n].
 
     Implemented as strided slices over a periodically extended copy (taps
     reach at most L-2 past the end), which is much faster than a gathered
     index matrix for the small filters used here.
     """
-    n = x.shape[-1]
-    half = n // 2
+    n = x.shape[axis]
     L = filt.size
-    wrap = L - 2  # furthest tap index is 2*(half-1) + L-1 = n + L - 3
-    ext = np.concatenate([x, x[..., :wrap]], axis=-1) if wrap > 0 else x
-    out = ext[..., 0:2 * half:2] * filt[0]
+    if L > 2:
+        x = np.concatenate([x, x[_at(slice(0, L - 2), axis)]], axis=axis)
+    out = x[_at(slice(0, n, 2), axis)] * filt[0]
     for i in range(1, L):
-        out += filt[i] * ext[..., i:i + 2 * half:2]
+        out += filt[i] * x[_at(slice(i, i + n, 2), axis)]
     return out
 
 
-def _synthesize_last(c: np.ndarray, filt: np.ndarray, n: int, offset: int) -> np.ndarray:
-    """Adjoint of ``_analyze_last`` with the filter support shifted by
-    ``offset``: out[(2m + i + offset) mod n] += filt[i] * c[..., m].
+def _synthesize(c: np.ndarray, filt: np.ndarray, n: int, offset: int,
+                axis: int = -1) -> np.ndarray:
+    """Adjoint of ``_analyze`` with the filter support shifted by ``offset``:
+    out[(2m + i + offset) mod n] += filt[i] * c[m].
 
-    Scatters into an extended buffer with plain strided slices, then folds
-    the out-of-range ends back periodically in contiguous chunks.
+    Tap i lands on the output samples of parity (i + offset) mod 2, rotated
+    by (i + offset) // 2 of them, so it is scattered with at most two
+    strided adds (before and after the wrap point).
     """
-    half = c.shape[-1]
-    L = filt.size
-    lo = offset
-    hi = 2 * (half - 1) + (L - 1) + offset
-    ext = np.zeros(c.shape[:-1] + (hi - lo + 1,), dtype=np.float64)
-    for i in range(L):
-        ext[..., i:i + 2 * half:2] += filt[i] * c
-    out = np.zeros(c.shape[:-1] + (n,), dtype=np.float64)
-    pos = lo
-    idx = 0
-    while pos <= hi:
-        tgt = pos % n
-        block = min(hi - pos + 1, n - tgt)
-        out[..., tgt:tgt + block] += ext[..., idx:idx + block]
-        pos += block
-        idx += block
+    half = c.shape[axis]
+    shape = list(c.shape)
+    shape[axis] = n
+    out = np.zeros(shape)
+    for i in range(filt.size):
+        rot, parity = divmod(i + offset, 2)
+        rot %= half
+        tap = filt[i] * c
+        out[_at(slice(parity + 2 * rot, n, 2), axis)] += tap[_at(slice(0, half - rot), axis)]
+        if rot:
+            out[_at(slice(parity, 2 * rot, 2), axis)] += tap[_at(slice(half - rot, half), axis)]
     return out
 
 
-def _analyze_height(x: np.ndarray, filt: np.ndarray) -> np.ndarray:
-    return _analyze_last(x.swapaxes(-1, -2), filt).swapaxes(-1, -2)
-
-
-def _synthesize_height(c: np.ndarray, filt: np.ndarray, n: int, offset: int) -> np.ndarray:
-    return _synthesize_last(c.swapaxes(-1, -2), filt, n, offset).swapaxes(-1, -2)
-
-
-def _check_even_last2(x: np.ndarray, spec: WaveletSpec, op: str) -> None:
-    h, w = x.shape[-2], x.shape[-1]
-    if h % 2 or w % 2:
-        raise OddLengthInput(f"{op}: spatial dims must be even, got {h}x{w}")
-    if h < spec.max_length or w < spec.max_length:
-        raise InputTooShort(
-            f"{op}: spatial dims {h}x{w} shorter than filter length {spec.max_length}"
-        )
+def _as_input(x, spec: WaveletSpec, op: str, ndim: int) -> np.ndarray:
+    """``x`` as a float array of ``ndim`` axes whose last one or two (the
+    transformed sides) are even and no shorter than the filters."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != ndim:
+        raise ShapeMismatch(f"{op}: expected {ndim} axes, got shape {x.shape}")
+    sides = x.shape[-2:]
+    size = "x".join(map(str, sides))
+    if any(n % 2 for n in sides):
+        raise OddLengthInput(f"{op}: sides must be even, got {size}")
+    if min(sides) < spec.max_length:
+        raise InputTooShort(f"{op}: size {size} shorter than filter length {spec.max_length}")
+    return x
 
 
 def dwt1d(x, spec: WaveletSpec):
@@ -121,14 +121,8 @@ def dwt1d(x, spec: WaveletSpec):
     low[m] = sum_i l[i] x[(2m+i) mod n] and likewise for high with the
     analysis high-pass filter.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeMismatch(f"dwt1d expects a vector, got shape {x.shape}")
-    if x.size % 2:
-        raise OddLengthInput(f"dwt1d: length {x.size} is odd")
-    if x.size < spec.max_length:
-        raise InputTooShort(f"dwt1d: length {x.size} < filter length {spec.max_length}")
-    return _analyze_last(x, spec.analysis_low), _analyze_last(x, spec.analysis_high)
+    x = _as_input(x, spec, "dwt1d", 1)
+    return _analyze(x, spec.analysis_low), _analyze(x, spec.analysis_high)
 
 
 def idwt1d(low, high, spec: WaveletSpec) -> np.ndarray:
@@ -138,9 +132,9 @@ def idwt1d(low, high, spec: WaveletSpec) -> np.ndarray:
     if low.ndim != 1 or low.shape != high.shape:
         raise ShapeMismatch(f"idwt1d: band shapes {low.shape} vs {high.shape}")
     n = 2 * low.size
-    return _synthesize_last(
-        low, spec.synthesis_low, n, spec.synthesis_low_offset
-    ) + _synthesize_last(high, spec.synthesis_high, n, spec.synthesis_high_offset)
+    return _synthesize(low, spec.synthesis_low, n, spec.synthesis_low_offset) + _synthesize(
+        high, spec.synthesis_high, n, spec.synthesis_high_offset
+    )
 
 
 def dwt2d(X, spec: WaveletSpec) -> SubbandSet:
@@ -149,17 +143,14 @@ def dwt2d(X, spec: WaveletSpec) -> SubbandSet:
     With L and H the 1D analysis operators, the subbands are
     ll = L X L^T, lh = H X L^T, hl = L X H^T, hh = H X H^T.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeMismatch(f"dwt2d expects a matrix, got shape {X.shape}")
-    _check_even_last2(X, spec, "dwt2d")
-    row_low = _analyze_last(X, spec.analysis_low)
-    row_high = _analyze_last(X, spec.analysis_high)
+    X = _as_input(X, spec, "dwt2d", 2)
+    row_low = _analyze(X, spec.analysis_low)
+    row_high = _analyze(X, spec.analysis_high)
     return SubbandSet(
-        ll=_analyze_height(row_low, spec.analysis_low),
-        lh=_analyze_height(row_low, spec.analysis_high),
-        hl=_analyze_height(row_high, spec.analysis_low),
-        hh=_analyze_height(row_high, spec.analysis_high),
+        ll=_analyze(row_low, spec.analysis_low, axis=-2),
+        lh=_analyze(row_low, spec.analysis_high, axis=-2),
+        hl=_analyze(row_high, spec.analysis_low, axis=-2),
+        hh=_analyze(row_high, spec.analysis_high, axis=-2),
     )
 
 
@@ -167,13 +158,13 @@ def idwt2d(s: SubbandSet, spec: WaveletSpec) -> np.ndarray:
     """Inverse of dwt2d: transposed synthesis operators on both axes."""
     h2, w2 = s.ll.shape
     lo, hi = spec.synthesis_low_offset, spec.synthesis_high_offset
-    low_branch = _synthesize_height(
-        np.asarray(s.ll, dtype=np.float64), spec.synthesis_low, 2 * h2, lo
-    ) + _synthesize_height(np.asarray(s.lh, dtype=np.float64), spec.synthesis_high, 2 * h2, hi)
-    high_branch = _synthesize_height(
-        np.asarray(s.hl, dtype=np.float64), spec.synthesis_low, 2 * h2, lo
-    ) + _synthesize_height(np.asarray(s.hh, dtype=np.float64), spec.synthesis_high, 2 * h2, hi)
-    return _synthesize_last(low_branch, spec.synthesis_low, 2 * w2, lo) + _synthesize_last(
+    low_branch = _synthesize(
+        np.asarray(s.ll, dtype=np.float64), spec.synthesis_low, 2 * h2, lo, axis=-2
+    ) + _synthesize(np.asarray(s.lh, dtype=np.float64), spec.synthesis_high, 2 * h2, hi, axis=-2)
+    high_branch = _synthesize(
+        np.asarray(s.hl, dtype=np.float64), spec.synthesis_low, 2 * h2, lo, axis=-2
+    ) + _synthesize(np.asarray(s.hh, dtype=np.float64), spec.synthesis_high, 2 * h2, hi, axis=-2)
+    return _synthesize(low_branch, spec.synthesis_low, 2 * w2, lo) + _synthesize(
         high_branch, spec.synthesis_high, 2 * w2, hi
     )
 
@@ -181,15 +172,17 @@ def idwt2d(s: SubbandSet, spec: WaveletSpec) -> np.ndarray:
 def reconstruct_lowpass(X, spec: WaveletSpec) -> np.ndarray:
     """Full-resolution low-pass projection: keep ll, zero the detail bands,
     reconstruct.  For orthogonal wavelets this is an orthogonal projection
-    (hence idempotent); it is what the anti-aliasing analysis measures."""
-    s = dwt2d(X, spec)
-    z = np.zeros_like(s.ll)
-    return idwt2d(SubbandSet(ll=s.ll, lh=z, hl=z, hh=z), spec)
+    (hence idempotent); it is what the anti-aliasing analysis measures.
+    Only ll is analyzed and synthesized: the zero bands add nothing."""
+    X = _as_input(X, spec, "reconstruct_lowpass", 2)
+    lo = spec.synthesis_low_offset
+    rows = _synthesize(_analyze_ll(X, spec), spec.synthesis_low, X.shape[0], lo, axis=-2)
+    return _synthesize(rows, spec.synthesis_low, X.shape[1], lo)
 
 
 def _analyze_ll(x: np.ndarray, spec: WaveletSpec) -> np.ndarray:
     """LL subband of every trailing 2D slice; accepts leading batch axes."""
-    return _analyze_height(_analyze_last(x, spec.analysis_low), spec.analysis_low)
+    return _analyze(_analyze(x, spec.analysis_low), spec.analysis_low, axis=-2)
 
 
 def _analyze_ll_adjoint(g: np.ndarray, spec: WaveletSpec, height: int, width: int) -> np.ndarray:
@@ -200,6 +193,6 @@ def _analyze_ll_adjoint(g: np.ndarray, spec: WaveletSpec, height: int, width: in
     filters; for biorthogonal wavelets the two differ and only the former
     is the true gradient.
     """
-    return _synthesize_height(
-        _synthesize_last(g, spec.analysis_low, width, 0), spec.analysis_low, height, 0
+    return _synthesize(
+        _synthesize(g, spec.analysis_low, width, 0), spec.analysis_low, height, 0, axis=-2
     )

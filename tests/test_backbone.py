@@ -366,6 +366,20 @@ class TestNetwork:
         with pytest.raises(InvalidConfig, match="stage3.block0"):
             model.trace_shapes(20, 20)
 
+    def test_pool_input_below_filter_length_names_layer(self):
+        # ch5.5 has 14 taps; the third down-sampling sees 8x8 on 32x32 input
+        model = Network(micro_schedule(), parse_pool("wavelet:ch5.5"), VARIANT_C, num_classes=4)
+        for walk in (model.trace_shapes, lambda h, w: count_flops(model, h, w)):
+            with pytest.raises(InvalidConfig, match=r"stage3\.block0\.conv2\.pool: input 8x8"):
+                walk(32, 32)
+        assert model.trace_shapes(64, 64) == (8, 8)
+
+    def test_blur_radius_bounds_pool_input(self):
+        model = Network(micro_schedule(), parse_pool("blur:1-1-1-1-1"), VARIANT_C, num_classes=4)
+        with pytest.raises(InvalidConfig, match=r"stage3\.block0\.conv2\.pool: input 2x2"):
+            model.trace_shapes(8, 8)
+        assert model.trace_shapes(16, 16) == (2, 2)
+
     @pytest.mark.parametrize("h, w", [(-32, -32), (0, 0), (32, 0), (-2, 32)])
     def test_non_positive_size_rejected(self, h, w):
         model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)

@@ -341,6 +341,14 @@ class TestCount:
             assert "positive" in capsys.readouterr().err
             assert not (tmp_path / "runs").exists()
 
+    def test_pool_input_below_filter_length_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(
+            tmp_path / "ch55.config", tiny_config_text(tmp_path / "runs", pool="wavelet:ch5.5")
+        )
+        assert main(["count", cfg_path, "--height", "32", "--width", "32"]) == 2
+        assert "stage3.block0.conv2.pool" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
 
 class TestAlias:
     def test_haar_at_pi_ratio_in_csv(self, tmp_path):
@@ -370,6 +378,11 @@ class TestAlias:
     def test_unknown_pool_exits_2(self, tmp_path, capsys):
         assert main(["alias", "gaussian", "--outdir", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_nan_blur_weight_exits_2(self, tmp_path, capsys):
+        assert main(["alias", "blur:nan-1-1", "--outdir", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_off_grid_frequency_exits_2(self, tmp_path, capsys):
         code = main(["alias", "max", "--freqs", "0.77", "--outdir", str(tmp_path)])

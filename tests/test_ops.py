@@ -91,6 +91,22 @@ class TestConv2dGradients:
             x, w, b, rng=rng,
         )
 
+    @pytest.mark.parametrize(
+        "k, stride, hw", [(3, 1, (5, 6)), (3, 2, (4, 6)), (5, 1, (3, 5)), (5, 2, (4, 2))]
+    )
+    def test_circular_adjoint_identity(self, rng, k, stride, hw):
+        # <conv(x), g> = <x, conv^T g> covers every coordinate, including the
+        # wrapped edges a sampled finite difference can miss; 5x5 on 3 rows
+        # folds both padded strips onto the same core rows
+        x = Tensor(rng.normal(size=(2, 2) + hw), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, k, k)))
+        out = conv2d(x, w, stride=stride, pad="circular")
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        x2 = rng.normal(size=x.shape)
+        lhs = float(np.sum(conv2d(Tensor(x2), w, stride=stride, pad="circular").data * g))
+        assert abs(lhs - float(np.sum(x2 * x.grad))) <= 1e-12 * max(1.0, abs(lhs))
+
     def test_fd_1x1(self, rng):
         x = rng.normal(size=(2, 3, 4, 4))
         w = rng.normal(size=(2, 3, 1, 1))

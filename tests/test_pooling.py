@@ -53,6 +53,11 @@ class TestPoolKind:
         with pytest.raises(InvalidHyperparameter):
             PoolKind("blur", blur_kernel=(0.3, 0.3, 0.3))
 
+    @pytest.mark.parametrize("kernel", [(np.nan, 0.5, 0.5), (0.0, 1.0, np.nan)])
+    def test_blur_kernel_must_be_finite(self, kernel):
+        with pytest.raises(InvalidHyperparameter):
+            PoolKind("blur", blur_kernel=kernel)
+
     def test_blur_kernel_rejected_on_other_families(self):
         with pytest.raises(InvalidHyperparameter):
             PoolKind("max", blur_kernel=(0.25, 0.5, 0.25))
@@ -84,7 +89,11 @@ class TestPoolKind:
     def test_parse_bare_blur_uses_default_kernel(self):
         assert parse_pool("blur").blur_kernel == DEFAULT_BLUR_KERNEL
 
-    @pytest.mark.parametrize("text", ["median", "wavelet:", "max:3", "blur:a-b", "blur:0-0"])
+    @pytest.mark.parametrize(
+        "text",
+        ["median", "wavelet:", "max:3", "blur:a-b", "blur:0-0", "blur:nan-1-1", "blur:1-nan-1",
+         "blur:inf-1-1"],
+    )
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(InvalidHyperparameter):
             parse_pool(text)

@@ -9,8 +9,10 @@ from wavepool.errors import InputTooShort, OddLengthInput, ShapeMismatch
 from wavepool.filterbank import parse_wavelet, supported_wavelets
 from wavepool.transforms import (
     SubbandSet,
+    _analyze,
     _analyze_ll,
     _analyze_ll_adjoint,
+    _synthesize,
     dwt1d,
     dwt2d,
     idwt1d,
@@ -160,6 +162,42 @@ class TestAdjointIdentity:
         lhs = float(np.dot(low, gl) + np.dot(high, gh))
         rhs = float(np.dot(x, idwt1d(gl, gh, spec)))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+class TestMaximalWrap:
+    """Inputs exactly as long as the longest filter, so the taps wrap as far
+    as they can (ch5.5 has 14 taps)."""
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_pair_adjoint(self, name, axis):
+        spec = parse_wavelet(name)
+        n = spec.max_length
+        rng = np.random.default_rng(29)
+        x = rng.standard_normal((3, n) if axis == -1 else (n, 3))
+        for filt in (spec.analysis_low, spec.analysis_high, spec.synthesis_low,
+                     spec.synthesis_high):
+            y = _analyze(x, filt, axis)
+            c = rng.standard_normal(y.shape)
+            lhs = float(np.sum(y * c))
+            rhs = float(np.sum(x * _synthesize(c, filt, n, 0, axis)))
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_2d_reconstruction(self, name):
+        spec = parse_wavelet(name)
+        n = spec.max_length
+        X = np.random.default_rng(31).standard_normal((n, n))
+        assert np.abs(idwt2d(dwt2d(X, spec), spec) - X).max() <= 1e-10
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_lowpass_is_ll_only_reconstruction(self, name):
+        spec = parse_wavelet(name)
+        n = spec.max_length
+        X = np.random.default_rng(37).standard_normal((n, n))
+        z = np.zeros((n // 2, n // 2))
+        want = idwt2d(SubbandSet(ll=dwt2d(X, spec).ll, lh=z, hl=z, hh=z), spec)
+        assert np.abs(reconstruct_lowpass(X, spec) - want).max() <= 1e-12
 
 
 class TestReconstructLowpass:
