@@ -2,10 +2,14 @@
 
 A Tensor wraps a numpy float array plus an optional tape node: the tuple of
 parent tensors and a closure mapping the output gradient to parent
-gradients.  Calling ``backward()`` on a scalar loss walks the tape once in
-reverse topological order and accumulates ``.grad`` arrays on every tensor
-that requires gradient.  This is deliberately small: just enough machinery
-to express, train, and finite-difference-check the residual micro networks.
+gradients.  Calling ``backward()`` on a scalar loss, or with an explicit
+seed of the value's shape, walks the tape once in reverse topological order
+and accumulates ``.grad`` arrays on every leaf that requires gradient.
+
+The operators a Tensor defines itself are the same-shape ``+`` of the
+residual connection and scaling by a constant.  Every other differentiable
+op (convolution, batchnorm, pooling, the losses) lives in ``ops`` and
+``pooling`` and records its node through ``make_op``.
 
 Everything runs in double precision: a Tensor stores its data as float64
 whatever the input dtype, and the correctness tolerances assume it.
@@ -81,62 +85,18 @@ class Tensor:
         tag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{tag})"
 
-    # -- arithmetic used by losses and residual connections ---------------
+    # -- the residual connection, and scaling by a constant --------------
 
-    def __add__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        try:
-            np.broadcast_shapes(self.data.shape, other.data.shape)
-        except ValueError:
-            raise ShapeMismatch(f"add: {self.data.shape} vs {other.data.shape}") from None
-        return make_op(
-            self.data + other.data,
-            (self, other),
-            lambda g: (_unbroadcast(g, self.data.shape), _unbroadcast(g, other.data.shape)),
-        )
+    def __add__(self, other: "Tensor") -> "Tensor":
+        """Same-shape sum; any shape difference raises ShapeMismatch."""
+        if self.data.shape != other.data.shape:
+            raise ShapeMismatch(f"add: {self.data.shape} vs {other.data.shape}")
+        return make_op(self.data + other.data, (self, other), lambda g: (g, g))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return make_op(-self.data, (self,), lambda g: (-g,))
-
-    def __sub__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return make_op(
-                self.data * other.data,
-                (self, other),
-                lambda g: (
-                    _unbroadcast(g * other.data, self.data.shape),
-                    _unbroadcast(g * self.data, other.data.shape),
-                ),
-            )
-        c = float(other)
+    def __mul__(self, c: float) -> "Tensor":
+        """Scale by a constant (``perfbench`` perturbs a forward with it)."""
+        c = float(c)
         return make_op(self.data * c, (self,), lambda g: (g * c,))
-
-    __rmul__ = __mul__
-
-    def sum(self) -> "Tensor":
-        return make_op(
-            np.asarray(self.data.sum()), (self,), lambda g: (np.broadcast_to(g, self.data.shape),)
-        )
-
-    def mean(self) -> "Tensor":
-        n = self.data.size
-        return make_op(
-            np.asarray(self.data.mean()),
-            (self,),
-            lambda g: (np.broadcast_to(g / n, self.data.shape),),
-        )
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], tuple):
-            shape = shape[0]
-        old = self.data.shape
-        return make_op(self.data.reshape(shape), (self,), lambda g: (g.reshape(old),))
 
     # -- tape walk ---------------------------------------------------------
 
@@ -191,19 +151,6 @@ def _toposort(root: Tensor):
                 stack.append((p, False))
     order.reverse()
     return order
-
-
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum a gradient back down to ``shape`` after numpy broadcasting."""
-    if g.shape == tuple(shape):
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
 
 
 def make_op(data, parents, backward_fn) -> Tensor:

@@ -486,9 +486,8 @@ class Network:
             )
         self.trace_shapes(x.shape[2], x.shape[3])
         if self.input_mean is not None:
-            x = (x + Tensor(-self.input_mean[None, :, None, None])) * Tensor(
-                1.0 / self.input_std[None, :, None, None]
-            )
+            x = Tensor((x.data + -self.input_mean[None, :, None, None])
+                       * (1.0 / self.input_std[None, :, None, None]))
         return self.fc(global_avg_pool(_run(self.layers, x, training)))
 
     __call__ = forward

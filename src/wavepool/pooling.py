@@ -177,12 +177,8 @@ def wavelet_pool(x, spec: WaveletSpec) -> Tensor:
     absorbs the constant.
     """
     x = _as_tensor(x)
-    H, W = _as_input(x.data, spec, "wavelet_pool", 4).shape[2:]
-
-    def backward_fn(g):
-        return (_analyze_ll_adjoint(g, spec, H, W),)
-
-    return make_op(_analyze_ll(x.data, spec), (x,), backward_fn)
+    _as_input(x.data, spec, "wavelet_pool", 4)
+    return make_op(_analyze_ll(x.data, spec), (x,), lambda g: (_analyze_ll_adjoint(g, spec),))
 
 
 def _windows(data: np.ndarray) -> np.ndarray:
@@ -259,13 +255,19 @@ def _blur(data: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _blur_adjoint(g: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    """Adjoint of ``_blur``: each tap scatters back through the reflected
-    indices."""
+    """Adjoint of ``_blur``: each tap adds into the reflect-padded extent,
+    then the p padded samples at each edge fold back, reversed, onto the
+    samples they were reflected from (``[1, p]`` and ``[n-1-p, n-2]``)."""
     n = g.shape[axis]
     p = kernel.size // 2
-    out = np.zeros_like(g)
+    shape = list(g.shape)
+    shape[axis] = n + 2 * p
+    ext = np.zeros(shape)
     for t in range(kernel.size):
-        np.add.at(out, _at(_reflect_index(np.arange(t - p, t - p + n), n), axis), kernel[t] * g)
+        ext[_at(slice(t, t + n), axis)] += kernel[t] * g
+    out = ext[_at(slice(p, p + n), axis)]
+    out[_at(slice(1, p + 1), axis)] += np.flip(ext[_at(slice(0, p), axis)], axis)
+    out[_at(slice(n - 1 - p, n - 1), axis)] += np.flip(ext[_at(slice(n + p, None), axis)], axis)
     return out
 
 

@@ -77,16 +77,17 @@ def _analyze(x: np.ndarray, filt: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
-def _synthesize(c: np.ndarray, filt: np.ndarray, n: int, offset: int,
-                axis: int = -1) -> np.ndarray:
+def _synthesize(c: np.ndarray, filt: np.ndarray, offset: int, axis: int = -1) -> np.ndarray:
     """Adjoint of ``_analyze`` with the filter support shifted by ``offset``:
-    out[(2m + i + offset) mod n] += filt[i] * c[m].
+    out[(2m + i + offset) mod n] += filt[i] * c[m], where n is twice the
+    length of ``c`` along ``axis``.
 
     Tap i lands on the output samples of parity (i + offset) mod 2, rotated
     by (i + offset) // 2 of them, so it is scattered with at most two
     strided adds (before and after the wrap point).
     """
     half = c.shape[axis]
+    n = 2 * half
     shape = list(c.shape)
     shape[axis] = n
     out = np.zeros(shape)
@@ -131,9 +132,8 @@ def idwt1d(low, high, spec: WaveletSpec) -> np.ndarray:
     high = np.asarray(high, dtype=np.float64)
     if low.ndim != 1 or low.shape != high.shape:
         raise ShapeMismatch(f"idwt1d: band shapes {low.shape} vs {high.shape}")
-    n = 2 * low.size
-    return _synthesize(low, spec.synthesis_low, n, spec.synthesis_low_offset) + _synthesize(
-        high, spec.synthesis_high, n, spec.synthesis_high_offset
+    return _synthesize(low, spec.synthesis_low, spec.synthesis_low_offset) + _synthesize(
+        high, spec.synthesis_high, spec.synthesis_high_offset
     )
 
 
@@ -156,16 +156,15 @@ def dwt2d(X, spec: WaveletSpec) -> SubbandSet:
 
 def idwt2d(s: SubbandSet, spec: WaveletSpec) -> np.ndarray:
     """Inverse of dwt2d: transposed synthesis operators on both axes."""
-    h2, w2 = s.ll.shape
     lo, hi = spec.synthesis_low_offset, spec.synthesis_high_offset
     low_branch = _synthesize(
-        np.asarray(s.ll, dtype=np.float64), spec.synthesis_low, 2 * h2, lo, axis=-2
-    ) + _synthesize(np.asarray(s.lh, dtype=np.float64), spec.synthesis_high, 2 * h2, hi, axis=-2)
+        np.asarray(s.ll, dtype=np.float64), spec.synthesis_low, lo, axis=-2
+    ) + _synthesize(np.asarray(s.lh, dtype=np.float64), spec.synthesis_high, hi, axis=-2)
     high_branch = _synthesize(
-        np.asarray(s.hl, dtype=np.float64), spec.synthesis_low, 2 * h2, lo, axis=-2
-    ) + _synthesize(np.asarray(s.hh, dtype=np.float64), spec.synthesis_high, 2 * h2, hi, axis=-2)
-    return _synthesize(low_branch, spec.synthesis_low, 2 * w2, lo) + _synthesize(
-        high_branch, spec.synthesis_high, 2 * w2, hi
+        np.asarray(s.hl, dtype=np.float64), spec.synthesis_low, lo, axis=-2
+    ) + _synthesize(np.asarray(s.hh, dtype=np.float64), spec.synthesis_high, hi, axis=-2)
+    return _synthesize(low_branch, spec.synthesis_low, lo) + _synthesize(
+        high_branch, spec.synthesis_high, hi
     )
 
 
@@ -176,8 +175,8 @@ def reconstruct_lowpass(X, spec: WaveletSpec) -> np.ndarray:
     Only ll is analyzed and synthesized: the zero bands add nothing."""
     X = _as_input(X, spec, "reconstruct_lowpass", 2)
     lo = spec.synthesis_low_offset
-    rows = _synthesize(_analyze_ll(X, spec), spec.synthesis_low, X.shape[0], lo, axis=-2)
-    return _synthesize(rows, spec.synthesis_low, X.shape[1], lo)
+    rows = _synthesize(_analyze_ll(X, spec), spec.synthesis_low, lo, axis=-2)
+    return _synthesize(rows, spec.synthesis_low, lo)
 
 
 def _analyze_ll(x: np.ndarray, spec: WaveletSpec) -> np.ndarray:
@@ -185,7 +184,7 @@ def _analyze_ll(x: np.ndarray, spec: WaveletSpec) -> np.ndarray:
     return _analyze(_analyze(x, spec.analysis_low), spec.analysis_low, axis=-2)
 
 
-def _analyze_ll_adjoint(g: np.ndarray, spec: WaveletSpec, height: int, width: int) -> np.ndarray:
+def _analyze_ll_adjoint(g: np.ndarray, spec: WaveletSpec) -> np.ndarray:
     """Exact adjoint of ``_analyze_ll``: transpose of the analysis operator
     applied to a gradient living in the LL slot (detail slots zero).
 
@@ -193,6 +192,4 @@ def _analyze_ll_adjoint(g: np.ndarray, spec: WaveletSpec, height: int, width: in
     filters; for biorthogonal wavelets the two differ and only the former
     is the true gradient.
     """
-    return _synthesize(
-        _synthesize(g, spec.analysis_low, width, 0), spec.analysis_low, height, 0, axis=-2
-    )
+    return _synthesize(_synthesize(g, spec.analysis_low, 0), spec.analysis_low, 0, axis=-2)

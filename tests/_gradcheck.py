@@ -5,21 +5,25 @@ import numpy as np
 from wavepool.autodiff import Tensor
 
 
-def _scalar(f, arrays) -> float:
-    return f(*[Tensor(a) for a in arrays]).item()
-
-
 def gradcheck(f, *arrays, rng, coords=6, eps=1e-5, tol=1e-6):
-    """Compare reverse-mode gradients of scalar ``f`` against central
-    differences on ``coords`` random coordinates of every input.
+    """Compare reverse-mode gradients of ``f`` against central differences
+    on ``coords`` random coordinates of every input.
+
+    ``f`` may return a Tensor of any shape.  A fixed cotangent ``w`` drawn
+    from ``rng`` seeds the backward pass, so the gradients checked are those
+    of the scalar ``<w, f(x)>``; its finite differences are taken in numpy.
 
     Returns the worst relative error; asserts it is within ``tol``.
     """
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     out = f(*tensors)
-    assert out.size == 1, "gradcheck needs a scalar objective"
-    out.backward()
+    w = rng.normal(size=out.shape)
+    out.backward(w)
+
+    def objective(pert) -> float:
+        return float(np.sum(w * f(*[Tensor(a) for a in pert]).data))
+
     worst = 0.0
     for k, a in enumerate(arrays):
         grad = tensors[k].grad
@@ -29,9 +33,9 @@ def gradcheck(f, *arrays, rng, coords=6, eps=1e-5, tol=1e-6):
         for i in idxs:
             pert = [x.copy() for x in arrays]
             pert[k].flat[i] += eps
-            fp = _scalar(f, pert)
+            fp = objective(pert)
             pert[k].flat[i] -= 2 * eps
-            fm = _scalar(f, pert)
+            fm = objective(pert)
             numeric = (fp - fm) / (2 * eps)
             analytic = grad.flat[i]
             rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-3)

@@ -360,6 +360,10 @@ class TestNetwork:
         x = rng.uniform(size=(2, 3, 32, 32))
         xn = (x - np.asarray(mean)[None, :, None, None]) / np.asarray(std)[None, :, None, None]
         assert np.allclose(norm(Tensor(x)).data, plain(Tensor(xn)).data, atol=1e-10)
+        # bit for bit: the net normalizes as (x + -mean) * (1 / std)
+        xb = (x + -np.asarray(mean)[None, :, None, None]) * (
+            1.0 / np.asarray(std)[None, :, None, None])
+        assert np.array_equal(norm(Tensor(x)).data, plain(Tensor(xb)).data)
 
     def test_odd_dim_error_names_offending_layer(self):
         model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _gradcheck import gradcheck
 from wavepool.autodiff import Tensor, make_rng, no_grad
@@ -87,7 +89,7 @@ class TestConv2dGradients:
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
         gradcheck(
-            lambda xt, wt, bt: conv2d(xt, wt, bt, stride=stride, pad=pad).sum(),
+            lambda xt, wt, bt: conv2d(xt, wt, bt, stride=stride, pad=pad),
             x, w, b, rng=rng,
         )
 
@@ -95,22 +97,47 @@ class TestConv2dGradients:
         "k, stride, hw", [(3, 1, (5, 6)), (3, 2, (4, 6)), (5, 1, (3, 5)), (5, 2, (4, 2))]
     )
     def test_circular_adjoint_identity(self, rng, k, stride, hw):
-        # <conv(x), g> = <x, conv^T g> covers every coordinate, including the
-        # wrapped edges a sampled finite difference can miss; 5x5 on 3 rows
-        # folds both padded strips onto the same core rows
-        x = Tensor(rng.normal(size=(2, 2) + hw), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 2, k, k)))
-        out = conv2d(x, w, stride=stride, pad="circular")
-        g = rng.normal(size=out.shape)
-        out.backward(g)
-        x2 = rng.normal(size=x.shape)
-        lhs = float(np.sum(conv2d(Tensor(x2), w, stride=stride, pad="circular").data * g))
-        assert abs(lhs - float(np.sum(x2 * x.grad))) <= 1e-12 * max(1.0, abs(lhs))
+        # 5x5 on 3 rows folds both padded strips onto the same core rows
+        _check_adjoint(rng, (2, 2) + hw, (3, 2, k, k), stride, "circular")
+
+    @given(
+        pad=st.sampled_from(["same", "circular"]),
+        stride=st.sampled_from([1, 2]),
+        k=st.sampled_from([1, 3]),
+        n=st.integers(1, 2),
+        c=st.integers(1, 3),
+        f=st.integers(1, 3),
+        rows=st.integers(1, 8),
+        cols=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_adjoint_identity_over_shapes(self, pad, stride, k, n, c, f, rows, cols, seed):
+        if stride == 2:  # stride 2 needs even sides
+            rows, cols = rows + rows % 2, cols + cols % 2
+        _check_adjoint(make_rng(seed), (n, c, rows, cols), (f, c, k, k), stride, pad)
 
     def test_fd_1x1(self, rng):
         x = rng.normal(size=(2, 3, 4, 4))
         w = rng.normal(size=(2, 3, 1, 1))
-        gradcheck(lambda xt, wt: (conv2d(xt, wt) * conv2d(xt, wt)).sum(), x, w, rng=rng)
+        gradcheck(conv2d, x, w, rng=rng)
+
+
+def _check_adjoint(rng, x_shape, w_shape, stride, pad):
+    """conv2d is linear in each argument, and one seeded backward gives both
+    transposes: <conv(x2, w), g> = <x2, dx> and <conv(x, w2), g> = <w2, dw>.
+    Unlike a sampled finite difference this covers every coordinate,
+    including the wrapped or zero-padded edges."""
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+    w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+    out = conv2d(x, w, stride=stride, pad=pad)
+    g = rng.normal(size=out.shape)
+    out.backward(g)
+    x2, w2 = rng.normal(size=x_shape), rng.normal(size=w_shape)
+    for lhs_out, arg, grad in ((conv2d(Tensor(x2), w.data, stride=stride, pad=pad), x2, x.grad),
+                               (conv2d(x.data, Tensor(w2), stride=stride, pad=pad), w2, w.grad)):
+        lhs = float(np.sum(lhs_out.data * g))
+        assert abs(lhs - float(np.sum(arg * grad))) <= 1e-12 * max(1.0, abs(lhs))
 
 
 class TestBatchNorm:
@@ -147,14 +174,13 @@ class TestBatchNorm:
         gamma = rng.normal(size=3) + 1.5
         beta = rng.normal(size=3)
         rm, rv = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
-        # Weighted-sum objective: a squared objective would be exactly
-        # constant in x under train-mode normalization (sum(xhat) = 0 and
-        # sum(xhat^2) fixed per channel), leaving nothing for FD to measure.
-        weights = rng.normal(size=x.shape)
+        # gradcheck's random cotangent matters here: a squared objective
+        # would be exactly constant in x under train-mode normalization
+        # (sum(xhat) = 0 and sum(xhat^2) fixed per channel), leaving
+        # nothing for FD to measure.
 
         def f(xt, gt, bt):
-            out = batchnorm2d(xt, gt, bt, rm.copy(), rv.copy(), training=training)
-            return (out * Tensor(weights)).sum()
+            return batchnorm2d(xt, gt, bt, rm.copy(), rv.copy(), training=training)
 
         gradcheck(f, x, gamma, beta, rng=rng)
 
@@ -169,7 +195,7 @@ class TestPointwiseAndHead:
         w = rng.normal(size=(2, 4))
         b = rng.normal(size=2)
         gradcheck(
-            lambda xt, wt, bt: (relu(linear(relu(xt), wt, bt)) * 2.0).sum(),
+            lambda xt, wt, bt: relu(linear(relu(xt), wt, bt)),
             x, w, b, rng=rng,
         )
 
@@ -189,8 +215,7 @@ class TestPointwiseAndHead:
         out = global_avg_pool(Tensor(x))
         assert out.shape == (2, 3)
         assert np.allclose(out.data, x.mean(axis=(2, 3)))
-        gradcheck(lambda t: (global_avg_pool(t) * global_avg_pool(t)).sum(),
-                  x, rng=rng)
+        gradcheck(global_avg_pool, x, rng=rng)
 
 
 class TestCrossEntropy:

@@ -126,7 +126,7 @@ class TestWaveletPool:
         x = Tensor(rng.normal(size=(1, 2, 16, 16)), requires_grad=True)
         g = rng.normal(size=(1, 2, 8, 8))
         out = wavelet_pool(x, spec)
-        (out * Tensor(g)).sum().backward()
+        out.backward(g)
         lhs = float((out.data * g).sum())
         rhs = float((x.data * x.grad).sum())
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
@@ -137,12 +137,7 @@ class TestWaveletPool:
         # running the synthesis filters backward would not
         spec = parse_wavelet(name)
         x = rng.normal(size=(1, 2, 12, 12))
-        w = rng.normal(size=(1, 2, 6, 6))
-
-        def f(xt):
-            return (wavelet_pool(xt, spec) * Tensor(w)).sum()
-
-        gradcheck(f, x, rng=rng)
+        gradcheck(lambda xt: wavelet_pool(xt, spec), x, rng=rng)
 
     @pytest.mark.parametrize("name", WAVELET_NAMES)
     def test_full_stride_shift_equivariance(self, rng, name):
@@ -192,27 +187,17 @@ class TestMaxAvgPool:
         # window order is row-major: (0,0), (0,1), (1,0), (1,1)
         x = np.array([[5.0, 5.0], [3.0, 5.0]]).reshape(1, 1, 2, 2)
         t = Tensor(x, requires_grad=True)
-        max_pool2(t).sum().backward()
+        max_pool2(t).backward(np.ones((1, 1, 1, 1)))
         expected = np.array([[1.0, 0.0], [0.0, 0.0]]).reshape(1, 1, 2, 2)
         assert np.array_equal(t.grad, expected)
 
     def test_avg_fd_gradients(self, rng):
         x = rng.normal(size=(2, 2, 6, 6))
-        w = rng.normal(size=(2, 2, 3, 3))
-
-        def f(xt):
-            return (avg_pool2(xt) * Tensor(w)).sum()
-
-        gradcheck(f, x, rng=rng)
+        gradcheck(avg_pool2, x, rng=rng)
 
     def test_max_fd_gradients_away_from_ties(self, rng):
         x = rng.normal(size=(2, 2, 6, 6))  # continuous values: ties have measure zero
-        w = rng.normal(size=(2, 2, 3, 3))
-
-        def f(xt):
-            return (max_pool2(xt) * Tensor(w)).sum()
-
-        gradcheck(f, x, rng=rng)
+        gradcheck(max_pool2, x, rng=rng)
 
     @pytest.mark.parametrize("pool", [max_pool2, avg_pool2, subsample2])
     def test_odd_dims_rejected(self, pool, rng):
@@ -228,12 +213,7 @@ class TestSubsample:
 
     def test_fd_gradients(self, rng):
         x = rng.normal(size=(1, 2, 6, 6))
-        w = rng.normal(size=(1, 2, 3, 3))
-
-        def f(xt):
-            return (subsample2(xt) * Tensor(w)).sum()
-
-        gradcheck(f, x, rng=rng)
+        gradcheck(subsample2, x, rng=rng)
 
 
 class TestBlurPool:
@@ -247,22 +227,21 @@ class TestBlurPool:
         assert np.max(np.abs(out.data)) <= 1e-12
 
     def test_adjoint_identity(self, rng):
-        x = Tensor(rng.normal(size=(1, 2, 8, 8)), requires_grad=True)
-        g = rng.normal(size=(1, 2, 4, 4))
-        out = blur_pool(x)
-        (out * Tensor(g)).sum().backward()
-        lhs = float((out.data * g).sum())
-        rhs = float((x.data * x.grad).sum())
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+        # 5 and 7 taps on a 4x4 input fold the reflections at both edges back
+        # onto the same samples; a single tap reflects nothing
+        for kernel, size in [(DEFAULT_BLUR_KERNEL, 8), (np.array([1, 4, 6, 4, 1]) / 16, 4),
+                             (np.array([1, 6, 15, 20, 15, 6, 1]) / 64, 4), ((1.0,), 4)]:
+            x = Tensor(rng.normal(size=(1, 2, size, size)), requires_grad=True)
+            g = rng.normal(size=(1, 2, size // 2, size // 2))
+            out = blur_pool(x, kernel)
+            out.backward(g)
+            lhs = float((out.data * g).sum())
+            rhs = float((x.data * x.grad).sum())
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_fd_gradients(self, rng):
         x = rng.normal(size=(1, 2, 8, 8))
-        w = rng.normal(size=(1, 2, 4, 4))
-
-        def f(xt):
-            return (blur_pool(xt) * Tensor(w)).sum()
-
-        gradcheck(f, x, rng=rng)
+        gradcheck(blur_pool, x, rng=rng)
 
     def test_bad_kernel_rejected(self, rng):
         x = Tensor(rng.normal(size=(1, 1, 8, 8)))

@@ -148,7 +148,7 @@ class TestAdjointIdentity:
         x = rng.standard_normal((16, 16))
         g = rng.standard_normal((8, 8))
         lhs = float(np.sum(_analyze_ll(x, spec) * g))
-        rhs = float(np.sum(x * _analyze_ll_adjoint(g, spec, 16, 16)))
+        rhs = float(np.sum(x * _analyze_ll_adjoint(g, spec)))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     @pytest.mark.parametrize("name", ORTHOGONAL)
@@ -180,7 +180,7 @@ class TestMaximalWrap:
             y = _analyze(x, filt, axis)
             c = rng.standard_normal(y.shape)
             lhs = float(np.sum(y * c))
-            rhs = float(np.sum(x * _synthesize(c, filt, n, 0, axis)))
+            rhs = float(np.sum(x * _synthesize(c, filt, 0, axis)))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     @pytest.mark.parametrize("name", ALL_NAMES)
