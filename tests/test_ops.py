@@ -1,5 +1,7 @@
 """Differentiable ops: finite-difference oracles and contract errors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,14 +125,35 @@ class TestConv2dGradients:
         gradcheck(conv2d, x, w, rng=rng)
 
 
+def _reference_conv(x, w, stride, pad):
+    """Tap-by-tap sum over the padded input: the definition conv2d's GEMMs
+    must match up to rounding."""
+    p = w.shape[-1] // 2
+    mode = "wrap" if pad == "circular" else "constant"
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), mode=mode)
+    ho, wo = (xp.shape[2] - w.shape[2]) // stride + 1, (xp.shape[3] - w.shape[3]) // stride + 1
+    out = np.zeros((x.shape[0], w.shape[0], ho, wo))
+    for u in range(w.shape[2]):
+        for v in range(w.shape[3]):
+            window = xp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride]
+            out += np.einsum("fc,nchw->nfhw", w[:, :, u, v], window)
+    return out
+
+
 def _check_adjoint(rng, x_shape, w_shape, stride, pad):
     """conv2d is linear in each argument, and one seeded backward gives both
     transposes: <conv(x2, w), g> = <x2, dx> and <conv(x, w2), g> = <w2, dw>.
     Unlike a sampled finite difference this covers every coordinate,
-    including the wrapped or zero-padded edges."""
+    including the wrapped or zero-padded edges.  The forward itself is
+    compared with a tap-by-tap reference.
+
+    The one-sided backward branches must agree with it bit for bit: with
+    x frozen, then w frozen, the frozen side gets no gradient and the other
+    side the same one; with a bias, db is the summed cotangent."""
     x = Tensor(rng.normal(size=x_shape), requires_grad=True)
     w = Tensor(rng.normal(size=w_shape), requires_grad=True)
     out = conv2d(x, w, stride=stride, pad=pad)
+    assert np.allclose(out.data, _reference_conv(x.data, w.data, stride, pad), rtol=0, atol=1e-12)
     g = rng.normal(size=out.shape)
     out.backward(g)
     x2, w2 = rng.normal(size=x_shape), rng.normal(size=w_shape)
@@ -138,6 +161,38 @@ def _check_adjoint(rng, x_shape, w_shape, stride, pad):
                                (conv2d(x.data, Tensor(w2), stride=stride, pad=pad), w2, w.grad)):
         lhs = float(np.sum(lhs_out.data * g))
         assert abs(lhs - float(np.sum(arg * grad))) <= 1e-12 * max(1.0, abs(lhs))
+
+    for x_grad, w_grad in ((False, True), (True, False)):
+        x1, w1 = Tensor(x.data, requires_grad=x_grad), Tensor(w.data, requires_grad=w_grad)
+        conv2d(x1, w1, stride=stride, pad=pad).backward(g)
+        for t, needed, full in ((x1, x_grad, x.grad), (w1, w_grad, w.grad)):
+            assert np.array_equal(t.grad, full) if needed else t.grad is None
+    x1, w1 = Tensor(x.data, requires_grad=True), Tensor(w.data, requires_grad=True)
+    b = Tensor(rng.normal(size=w_shape[0]), requires_grad=True)
+    conv2d(x1, w1, b, stride=stride, pad=pad).backward(g)
+    assert np.array_equal(b.grad, g.sum(axis=(0, 2, 3)))
+    assert np.array_equal(x1.grad, x.grad) and np.array_equal(w1.grad, w.grad)
+
+
+@pytest.mark.parametrize("pad", ["same", "circular"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv_keeps_only_output_and_padded_input(rng, k, stride, pad):
+    """Between forward and backward a conv keeps its output and, for k > 1,
+    the padded input.  The column matrix (k*k input copies) is rebuilt in
+    backward, and a 1x1 conv keeps no copy of its input at all."""
+    n, c, h, wd, f = 50, 16, 8, 8, 8
+    x = Tensor(rng.normal(size=(n, c, h, wd)), requires_grad=True)
+    w = Tensor(rng.normal(size=(f, c, k, k)), requires_grad=True)
+    xp_nbytes = 0 if k == 1 else n * c * (h + k - 1) * (wd + k - 1) * x.data.itemsize
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = conv2d(x, w, stride=stride, pad=pad)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= out.data.nbytes + xp_nbytes + 64 * 1024
 
 
 class TestBatchNorm:
@@ -167,6 +222,28 @@ class TestBatchNorm:
         expected = (x - 2.0) / np.sqrt(4.0 + 1e-5)
         assert np.allclose(out.data, expected)
         assert np.all(rm == 2.0) and np.all(rv == 4.0)  # eval never mutates
+
+    @pytest.mark.parametrize(
+        "shape", [(50, 16, 32, 32), (50, 64, 8, 8), (50, 256, 4, 4), (3, 5, 7, 9), (1, 2, 1, 1)]
+    )
+    def test_train_mode_rounds_as_two_pass_formula(self, rng, shape):
+        # batchnorm2d centres x once for both the variance and xhat; that
+        # must round exactly as ndarray.var followed by (x - mu) * inv
+        x = rng.normal(loc=0.5, scale=2.0, size=shape)
+        c = shape[1]
+        gamma, beta = rng.normal(size=c), rng.normal(size=c)
+        rm, rv = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
+        rv_expected = rv.copy()
+        out = batchnorm2d(Tensor(x), Tensor(gamma), Tensor(beta), rm, rv, training=True)
+        mu, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        n = x.size // c
+        rv_expected *= 0.9
+        rv_expected += 0.1 * (var * (n / (n - 1)) if n > 1 else var)
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        xhat = (x - mu[None, :, None, None]) * inv[None, :, None, None]
+        expected = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+        assert np.array_equal(out.data, expected)
+        assert np.array_equal(rv, rv_expected)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_fd_gradients(self, rng, training):
