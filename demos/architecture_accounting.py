@@ -34,7 +34,8 @@ def main():
         label = f"{pool} / {variant}"
         print(f"{label:<24}{count_params(model):>10,}{count_flops(model, 32, 32):>14,}")
     print("every operator is parameter-free, so only the FLOP column moves;")
-    print("longer filters (db4) cost more than haar, max/avg cost the least")
+    print("longer filters (db4) cost more than haar; avg costs the same as haar, "
+          "max the least")
 
     print("\nResNet50-shaped net (640x512 input, 1000 classes): bottom-heavy shift")
     print(f"{'schedule':<24}{'params':>12}{'gflops':>10}")

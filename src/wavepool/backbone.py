@@ -27,7 +27,8 @@ Conventions used by the counters (all integers, per single input image):
   element for the bias, which only the linear head has;
 - batchnorm: 2 FLOPs per element; relu: 1; residual add: 1;
 - pooling: 1 FLOP per produced element per filter tap, as the operators
-  are actually implemented; ``PoolKind.flops`` spells it out per family;
+  are actually implemented; ``PoolKind.flops`` derives it from each
+  family's filter;
 - global average pooling: H*W + 1 per channel.
 
 Parameter counts sum the learnable tensors (conv weights, the linear

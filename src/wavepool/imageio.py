@@ -56,6 +56,8 @@ def read_image(path) -> np.ndarray:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:
         raise UnsupportedFormat(f"{path}: non-numeric header fields") from None
+    if width <= 0 or height <= 0:
+        raise UnsupportedFormat(f"{path}: image size {width}x{height} is not positive")
     if maxval not in (255, 65535):
         raise UnsupportedFormat(f"{path}: maxval {maxval} unsupported (255 or 65535)")
     channels = 1 if magic == b"P5" else 3

@@ -191,10 +191,18 @@ def batchnorm2d(
         dx = None
         if x.requires_grad:
             if training:
+                # (inv / n) * (n * dxhat - s1 - xhat * s2) in two buffers;
+                # ending in t rather than dxhat keeps a step's peak RSS lower
                 dxhat = g * gamma.data[None, :, None, None]
                 s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-                s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                dx = (inv[None, :, None, None] / n) * (n * dxhat - s1 - xhat * s2)
+                t = dxhat * xhat
+                s2 = t.sum(axis=(0, 2, 3), keepdims=True)
+                np.multiply(xhat, s2, out=t)
+                dxhat *= n
+                dxhat -= s1
+                np.subtract(dxhat, t, out=t)
+                t *= inv[None, :, None, None] / n
+                dx = t
             else:
                 dx = g * (gamma.data * inv)[None, :, None, None]
         return (dx, dgamma, dbeta)

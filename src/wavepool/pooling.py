@@ -1,26 +1,34 @@
 """Down-sampling operators: wavelet low-pass pooling and its baselines.
 
 All operators map (N, C, H, W) tensors to (N, C, H/2, W/2) and carry exact
-backward passes:
+backward passes.  Every linear one is the same separable, periodic
+decimation, ``transforms._analyze_ll``: along each spatial axis output m is
+sum_i f[i] * x[(2m + i + offset) mod n] for one 1D filter f, and the
+backward pass is that operator's exact adjoint.  One filter describes each
+linear family:
 
-- ``wavelet_pool``: keeps the LL subband of a single-level 2D DWT.  High
-  frequencies are discarded rather than folded, which is the entire
-  anti-aliasing story.  The backward pass is the adjoint of the analysis
-  operator (embed the gradient in the LL slot, apply the transpose with the
-  analysis filters).  For biorthogonal wavelets this differs from running
-  the synthesis filters; only the adjoint is the true gradient, and the
-  finite-difference tests pin that choice.
-- ``max_pool2`` / ``avg_pool2``: 2x2 window, stride 2.  Max routes the
-  gradient to the window argmax with first-index tie-break.
-- ``blur_pool``: depthwise separable binomial blur (reflect padding)
-  followed by stride-2 subsampling at even indices.
-- ``subsample2``: naive decimation at even indices; the aliasing-prone
-  baseline a strided convolution reduces to for frequency analysis.
+- ``wavelet_pool``: the wavelet's analysis low-pass, so the output is the
+  LL subband of a single-level 2D DWT.  High frequencies are discarded
+  rather than folded, which is the entire anti-aliasing story.  The
+  backward pass transposes the analysis filter; for biorthogonal wavelets
+  running the synthesis filters instead would differ, only the adjoint is
+  the true gradient, and the finite-difference tests pin that choice.
+- ``avg_pool2``: (1/2, 1/2), the 2x2 window mean.
+- ``subsample2``: (1,), naive decimation at even indices; the
+  aliasing-prone baseline a strided convolution reduces to for frequency
+  analysis.
+- ``blur_pool``: its odd-length kernel, centred on each kept sample
+  (offset -K//2), so the blur wraps periodically like every other filter
+  in the network.
+
+``max_pool2`` is the one nonlinear operator: 2x2 window, stride 2, the
+gradient routed to the window argmax with first-index tie-break.
 
 ``PoolKind`` is the one description of a down-sampling operator: it is
 parsed from strings like "max", "avg", "strided", "blur:1-2-1" or
-"wavelet:haar", and gives the operator (``op``), its FLOP cost (``flops``)
-and its gain on constants (``dc_gain``).
+"wavelet:haar", and gives the operator (``op``) and, derived from the
+family's filter, its FLOP cost (``flops``), its smallest input side
+(``min_size``) and its gain on constants (``dc_gain``).
 """
 
 from __future__ import annotations
@@ -30,13 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, make_op
-from .errors import InputTooShort, InvalidHyperparameter, OddLengthInput, ShapeMismatch
+from .errors import InvalidHyperparameter
 from .filterbank import WaveletSpec, parse_wavelet
 from .ops import _as_tensor
-from .transforms import _analyze_ll, _analyze_ll_adjoint, _as_input, _at
+from .transforms import _analyze_ll, _analyze_ll_adjoint, _as_input
 
 DEFAULT_BLUR_KERNEL = (0.25, 0.5, 0.25)
 FAMILIES = ("max", "avg", "strided", "blur", "wavelet")
+_AVG_FILTER = np.array([0.5, 0.5])
+_SUBSAMPLE_FILTER = np.array([1.0])
 
 
 def _check_blur_kernel(kernel) -> np.ndarray:
@@ -89,41 +99,40 @@ class PoolKind:
             return lambda x: wavelet_pool(x, self.wavelet)
         return {"max": max_pool2, "avg": avg_pool2, "strided": subsample2}[self.family]
 
+    def _filter(self) -> np.ndarray | None:
+        """The 1D filter a linear family runs along each axis; None for max."""
+        if self.family == "wavelet":
+            return self.wavelet.analysis_low
+        if self.family == "blur":
+            return np.asarray(self.blur_kernel)
+        return {"avg": _AVG_FILTER, "strided": _SUBSAMPLE_FILTER}.get(self.family)
+
     def flops(self, ch: int, h: int, w: int) -> int:
         """Forward FLOPs on one (ch, h, w) input: 1 per filter tap per
-        produced element, as the operators run.  Wavelet pooling runs
+        produced element, as the operators run.  A linear pool runs two
         separable passes, so a filter of length L costs L*(h*w/2) +
-        L*(h*w/4) per channel; 2x2 max/avg cost 4 per output element; blur
-        costs its two full-resolution separable passes plus the subsample;
-        naive decimation costs one per output element."""
+        L*(h*w/4) per channel; max costs 4 per output element."""
         oh, ow = h // 2, w // 2
-        if self.family == "wavelet":
-            L = int(self.wavelet.analysis_low.size)
-            return ch * (L * h * ow + L * oh * ow)
-        if self.family == "blur":
-            return ch * (2 * len(self.blur_kernel) * h * w + oh * ow)
-        return (4 if self.family in ("max", "avg") else 1) * ch * oh * ow
+        f = self._filter()
+        if f is None:
+            return 4 * ch * oh * ow
+        return ch * f.size * (h * ow + oh * ow)
 
     def min_size(self) -> int:
-        """Smallest input side the operator accepts: the wavelet filter
-        length, the blur radius plus one, or one 2x2 window."""
-        if self.family == "wavelet":
-            return self.wavelet.max_length
-        if self.family == "blur":
-            return len(self.blur_kernel) // 2 + 1
-        return 2
+        """Smallest input side the operator accepts: the filter length, and
+        at least one 2x2 window."""
+        f = self._filter()
+        return 2 if f is None else max(2, f.size)
 
     def dc_gain(self) -> float:
-        """Gain of the operator on a constant input.
+        """Gain of the operator on a constant input: the squared filter sum.
 
-        Wavelet low-pass filters are normalized to sqrt(2) DC gain per axis,
-        so the separable pool scales constants by 2; the linear baselines
-        are already energy-normalized, and max pooling is nonlinear (gain 1
-        on constants).
+        Wavelet low-pass filters sum to sqrt(2) per axis, so the wavelet
+        pool scales constants by 2; the other linear filters sum to 1, and
+        max pooling is nonlinear (gain 1 on constants).
         """
-        if self.family == "wavelet":
-            return float(np.sum(self.wavelet.analysis_low)) ** 2
-        return 1.0
+        f = self._filter()
+        return 1.0 if f is None else float(np.sum(f)) ** 2
 
     def config_string(self) -> str:
         if self.family == "blur":
@@ -160,13 +169,18 @@ def parse_pool(text: str) -> PoolKind:
     raise InvalidHyperparameter(f"cannot parse pool kind {text!r}")
 
 
-def _check_even_4d(x: Tensor, op: str) -> tuple[int, int, int, int]:
-    if x.ndim != 4:
-        raise ShapeMismatch(f"{op}: need (N, C, H, W) input, got {x.shape}")
-    N, C, H, W = x.shape
-    if H % 2 or W % 2:
-        raise OddLengthInput(f"{op}: spatial dims must be even, got {H}x{W}")
-    return N, C, H, W
+def _linear_pool(x, filt: np.ndarray, offset: int, op: str) -> Tensor:
+    """Periodic decimation by ``filt`` along both spatial axes, taps
+    starting ``offset`` samples from each kept sample, with its exact
+    adjoint as the backward pass.  Sides must be even and no shorter than
+    the filter."""
+    x = _as_tensor(x)
+    _as_input(x.data, max(2, filt.size), op, 4)
+    return make_op(
+        _analyze_ll(x.data, filt, offset),
+        (x,),
+        lambda g: (_analyze_ll_adjoint(g, filt, offset),),
+    )
 
 
 def wavelet_pool(x, spec: WaveletSpec) -> Tensor:
@@ -176,24 +190,19 @@ def wavelet_pool(x, spec: WaveletSpec) -> Tensor:
     average; the batchnorm that follows every pooling site in the backbone
     absorbs the constant.
     """
-    x = _as_tensor(x)
-    _as_input(x.data, spec, "wavelet_pool", 4)
-    return make_op(_analyze_ll(x.data, spec), (x,), lambda g: (_analyze_ll_adjoint(g, spec),))
-
-
-def _windows(data: np.ndarray) -> np.ndarray:
-    """(N, C, H, W) -> (N, C, H/2, W/2, 4) view-free window expansion in
-    row-major window order (0,0), (0,1), (1,0), (1,1)."""
-    N, C, H, W = data.shape
-    r = data.reshape(N, C, H // 2, 2, W // 2, 2)
-    return r.transpose(0, 1, 2, 4, 3, 5).reshape(N, C, H // 2, W // 2, 4)
+    return _linear_pool(x, spec.analysis_low, 0, "wavelet_pool")
 
 
 def max_pool2(x) -> Tensor:
     """2x2 max pooling, stride 2; ties break to the first window index."""
     x = _as_tensor(x)
-    N, C, H, W = _check_even_4d(x, "max_pool2")
-    win = _windows(x.data)
+    N, C, H, W = _as_input(x.data, 2, "max_pool2", 4).shape
+    # windows in row-major order (0,0), (0,1), (1,0), (1,1) on the last axis
+    win = (
+        x.data.reshape(N, C, H // 2, 2, W // 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(N, C, H // 2, W // 2, 4)
+    )
     amax = win.argmax(axis=-1)
     out = np.take_along_axis(win, amax[..., None], axis=-1)[..., 0]
 
@@ -212,80 +221,17 @@ def max_pool2(x) -> Tensor:
 
 def avg_pool2(x) -> Tensor:
     """2x2 average pooling, stride 2."""
-    x = _as_tensor(x)
-    N, C, H, W = _check_even_4d(x, "avg_pool2")
-
-    def backward_fn(g):
-        dx = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3)
-        return (dx * 0.25,)
-
-    return make_op(_windows(x.data).mean(axis=-1), (x,), backward_fn)
+    return _linear_pool(x, _AVG_FILTER, 0, "avg_pool2")
 
 
 def subsample2(x) -> Tensor:
     """Naive stride-2 decimation at even indices (what a strided identity
     convolution computes); the aliasing-prone reference point."""
-    x = _as_tensor(x)
-    N, C, H, W = _check_even_4d(x, "subsample2")
-
-    def backward_fn(g):
-        dx = np.zeros((N, C, H, W))
-        dx[:, :, ::2, ::2] = g
-        return (dx,)
-
-    return make_op(x.data[:, :, ::2, ::2].copy(), (x,), backward_fn)
-
-
-def _reflect_index(j: np.ndarray, n: int) -> np.ndarray:
-    """Reflect indices into [0, n) without repeating the edge sample."""
-    j = np.abs(j)
-    return np.where(j >= n, 2 * (n - 1) - j, j)
-
-
-def _blur(data: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    """Correlation with ``kernel`` along ``axis`` (-1 or -2), centered, over
-    a reflect-padded copy."""
-    n = data.shape[axis]
-    p = kernel.size // 2
-    ext = data[_at(_reflect_index(np.arange(-p, n + p), n), axis)]
-    out = kernel[0] * ext[_at(slice(0, n), axis)]
-    for t in range(1, kernel.size):
-        out += kernel[t] * ext[_at(slice(t, t + n), axis)]
-    return out
-
-
-def _blur_adjoint(g: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    """Adjoint of ``_blur``: each tap adds into the reflect-padded extent,
-    then the p padded samples at each edge fold back, reversed, onto the
-    samples they were reflected from (``[1, p]`` and ``[n-1-p, n-2]``)."""
-    n = g.shape[axis]
-    p = kernel.size // 2
-    shape = list(g.shape)
-    shape[axis] = n + 2 * p
-    ext = np.zeros(shape)
-    for t in range(kernel.size):
-        ext[_at(slice(t, t + n), axis)] += kernel[t] * g
-    out = ext[_at(slice(p, p + n), axis)]
-    out[_at(slice(1, p + 1), axis)] += np.flip(ext[_at(slice(0, p), axis)], axis)
-    out[_at(slice(n - 1 - p, n - 1), axis)] += np.flip(ext[_at(slice(n + p, None), axis)], axis)
-    return out
+    return _linear_pool(x, _SUBSAMPLE_FILTER, 0, "subsample2")
 
 
 def blur_pool(x, kernel=DEFAULT_BLUR_KERNEL) -> Tensor:
-    """Separable depthwise blur (reflect padding) then stride-2 subsample."""
-    x = _as_tensor(x)
-    N, C, H, W = _check_even_4d(x, "blur_pool")
+    """Separable depthwise periodic blur, centred on each kept sample, and
+    stride-2 subsampling in one decimating pass."""
     k = _check_blur_kernel(kernel)
-    p = k.size // 2
-    if p >= min(H, W):
-        raise InputTooShort(f"blur kernel radius {p} too large for {H}x{W} input")
-
-    out = _blur(_blur(x.data, k, -1), k, -2)[:, :, ::2, ::2].copy()
-
-    def backward_fn(g):
-        gfull = np.zeros((N, C, H, W))
-        gfull[:, :, ::2, ::2] = g
-        return (_blur_adjoint(_blur_adjoint(gfull, k, -2), k, -1),)
-
-    return make_op(out, (x,), backward_fn)
-
+    return _linear_pool(x, k, -(k.size // 2), "blur_pool")

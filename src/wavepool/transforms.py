@@ -19,8 +19,9 @@ multi-level decomposition is composition at the call site.
 All public entry points accept plain vectors/matrices.  Every transform
 composes one private pair acting along a chosen axis: ``_analyze`` (the
 decimating periodic correlation) and its adjoint ``_synthesize``.
-``_analyze_ll`` and its exact adjoint ``_analyze_ll_adjoint`` accept
-arbitrary leading batch axes and back the wavelet pooling layer.
+``_analyze_ll`` and its exact adjoint ``_analyze_ll_adjoint`` run one
+filter along both trailing axes, accept arbitrary leading batch axes and
+back every linear pooling layer.
 """
 
 from __future__ import annotations
@@ -59,18 +60,22 @@ def _at(s, axis: int) -> tuple:
     return (Ellipsis, s) + (slice(None),) * (-1 - axis)
 
 
-def _analyze(x: np.ndarray, filt: np.ndarray, axis: int = -1) -> np.ndarray:
+def _analyze(x: np.ndarray, filt: np.ndarray, axis: int = -1, offset: int = 0) -> np.ndarray:
     """Decimating periodic correlation along ``axis``: out[m] = sum_i
-    filt[i] * x[(2m + i) mod n].
+    filt[i] * x[(2m + i + offset) mod n], for -n < offset <= 0.
 
     Implemented as strided slices over a periodically extended copy (taps
-    reach at most L-2 past the end), which is much faster than a gathered
-    index matrix for the small filters used here.
+    reach -offset samples before the start and at most L-2+offset past the
+    end), which is much faster than a gathered index matrix for the small
+    filters used here.
     """
     n = x.shape[axis]
     L = filt.size
-    if L > 2:
-        x = np.concatenate([x, x[_at(slice(0, L - 2), axis)]], axis=axis)
+    before, after = -offset, max(L - 2 + offset, 0)
+    if before or after:
+        x = np.concatenate(
+            [x[_at(slice(n - before, n), axis)], x, x[_at(slice(0, after), axis)]], axis=axis
+        )
     out = x[_at(slice(0, n, 2), axis)] * filt[0]
     for i in range(1, L):
         out += filt[i] * x[_at(slice(i, i + n, 2), axis)]
@@ -101,9 +106,9 @@ def _synthesize(c: np.ndarray, filt: np.ndarray, offset: int, axis: int = -1) ->
     return out
 
 
-def _as_input(x, spec: WaveletSpec, op: str, ndim: int) -> np.ndarray:
+def _as_input(x, min_side: int, op: str, ndim: int) -> np.ndarray:
     """``x`` as a float array of ``ndim`` axes whose last one or two (the
-    transformed sides) are even and no shorter than the filters."""
+    transformed sides) are even and no shorter than ``min_side``."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != ndim:
         raise ShapeMismatch(f"{op}: expected {ndim} axes, got shape {x.shape}")
@@ -111,8 +116,8 @@ def _as_input(x, spec: WaveletSpec, op: str, ndim: int) -> np.ndarray:
     size = "x".join(map(str, sides))
     if any(n % 2 for n in sides):
         raise OddLengthInput(f"{op}: sides must be even, got {size}")
-    if min(sides) < spec.max_length:
-        raise InputTooShort(f"{op}: size {size} shorter than filter length {spec.max_length}")
+    if min(sides) < min_side:
+        raise InputTooShort(f"{op}: size {size} is below the minimum side {min_side}")
     return x
 
 
@@ -122,7 +127,7 @@ def dwt1d(x, spec: WaveletSpec):
     low[m] = sum_i l[i] x[(2m+i) mod n] and likewise for high with the
     analysis high-pass filter.
     """
-    x = _as_input(x, spec, "dwt1d", 1)
+    x = _as_input(x, spec.max_length, "dwt1d", 1)
     return _analyze(x, spec.analysis_low), _analyze(x, spec.analysis_high)
 
 
@@ -143,7 +148,7 @@ def dwt2d(X, spec: WaveletSpec) -> SubbandSet:
     With L and H the 1D analysis operators, the subbands are
     ll = L X L^T, lh = H X L^T, hl = L X H^T, hh = H X H^T.
     """
-    X = _as_input(X, spec, "dwt2d", 2)
+    X = _as_input(X, spec.max_length, "dwt2d", 2)
     row_low = _analyze(X, spec.analysis_low)
     row_high = _analyze(X, spec.analysis_high)
     return SubbandSet(
@@ -173,23 +178,25 @@ def reconstruct_lowpass(X, spec: WaveletSpec) -> np.ndarray:
     reconstruct.  For orthogonal wavelets this is an orthogonal projection
     (hence idempotent); it is what the anti-aliasing analysis measures.
     Only ll is analyzed and synthesized: the zero bands add nothing."""
-    X = _as_input(X, spec, "reconstruct_lowpass", 2)
+    X = _as_input(X, spec.max_length, "reconstruct_lowpass", 2)
     lo = spec.synthesis_low_offset
-    rows = _synthesize(_analyze_ll(X, spec), spec.synthesis_low, lo, axis=-2)
+    rows = _synthesize(_analyze_ll(X, spec.analysis_low), spec.synthesis_low, lo, axis=-2)
     return _synthesize(rows, spec.synthesis_low, lo)
 
 
-def _analyze_ll(x: np.ndarray, spec: WaveletSpec) -> np.ndarray:
-    """LL subband of every trailing 2D slice; accepts leading batch axes."""
-    return _analyze(_analyze(x, spec.analysis_low), spec.analysis_low, axis=-2)
+def _analyze_ll(x: np.ndarray, filt: np.ndarray, offset: int = 0) -> np.ndarray:
+    """``_analyze`` with one filter along both trailing axes (the LL subband
+    when ``filt`` is a wavelet's analysis low-pass); accepts leading batch
+    axes."""
+    return _analyze(_analyze(x, filt, offset=offset), filt, axis=-2, offset=offset)
 
 
-def _analyze_ll_adjoint(g: np.ndarray, spec: WaveletSpec) -> np.ndarray:
-    """Exact adjoint of ``_analyze_ll``: transpose of the analysis operator
-    applied to a gradient living in the LL slot (detail slots zero).
+def _analyze_ll_adjoint(g: np.ndarray, filt: np.ndarray, offset: int = 0) -> np.ndarray:
+    """Exact adjoint of ``_analyze_ll``.
 
-    Note this uses the analysis filters at offset 0, not the synthesis
-    filters; for biorthogonal wavelets the two differ and only the former
-    is the true gradient.
+    For a wavelet this is the transpose of the analysis operator applied to
+    a gradient living in the LL slot (detail slots zero): it runs the
+    analysis filter, not the synthesis filter; for biorthogonal wavelets the
+    two differ and only the former is the true gradient.
     """
-    return _synthesize(_synthesize(g, spec.analysis_low, 0), spec.analysis_low, 0, axis=-2)
+    return _synthesize(_synthesize(g, filt, offset), filt, offset, axis=-2)

@@ -33,6 +33,7 @@ from wavepool.errors import (
     InvalidConfig,
     MissingArtifact,
 )
+from wavepool.filterbank import parse_wavelet
 from wavepool.pooling import parse_pool
 
 PI = np.pi
@@ -200,6 +201,25 @@ class TestAliasEnergySweep:
         for name, (value, _unit) in report.metrics.items():
             if name.startswith("energy_ratio@"):
                 assert 0.0 <= value <= 1.0 + 1e-9, (pool_text, name, value)
+
+    @pytest.mark.parametrize(
+        "pool_text,taps",
+        [pytest.param(text, taps, id=text) for text, taps in
+         [("avg", [1, 1]), ("strided", [1]), ("blur:1-2-1", [1, 2, 1]),
+          ("blur:1-4-6-4-1", [1, 4, 6, 4, 1])]
+         + [(f"wavelet:{name}", parse_wavelet(name).analysis_low)
+            for name in ("haar", "db2", "db4", "ch3.3", "ch5.5")]],
+    )
+    def test_linear_pools_follow_their_filter_response(self, pool_text, taps):
+        # a plane wave through a periodic decimating filter K keeps its
+        # shape: each axis scales it by |K(w)| / K(0) and moves it to 2w
+        freqs = [k * PI / 8 for k in range(1, 8)]  # pi is a null of some filters
+        report = alias_energy_sweep(parse_pool(pool_text), freqs)
+        for freq in freqs:
+            label = f"{freq / PI:.4f}pi"
+            response = abs(np.polyval(taps[::-1], np.exp(-1j * freq))) / np.sum(taps)
+            assert report.value(f"energy_ratio@{label}") == pytest.approx(response**4, abs=1e-12)
+            assert report.value(f"folded_fraction@{label}") == pytest.approx(1.0, abs=1e-12)
 
     def test_off_grid_frequency_rejected(self):
         with pytest.raises(InvalidConfig):

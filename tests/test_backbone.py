@@ -270,8 +270,8 @@ class TestFlopCounts:
         "pool_text,variant,flops",
         [("strided", "a", 8_212_574_730), ("wavelet:haar", "a", 8_925_876_746),
          ("wavelet:haar", "b", 11_009_936_906), ("wavelet:haar", "c", 12_861_732_362),
-         ("max", "c", 12_857_969_162), ("blur:1-2-1", "c", 12_897_482_762),
-         ("wavelet:db4", "b", 11_037_483_530)],
+         ("max", "c", 12_857_969_162), ("avg", "c", 12_861_732_362),
+         ("blur:1-2-1", "c", 12_867_377_162), ("wavelet:db4", "b", 11_037_483_530)],
     )
     def test_resnet50_counters_pinned(self, pool_text, variant, flops):
         # substituted stem sites (stride-2 conv, max pool) and every block
@@ -378,11 +378,12 @@ class TestNetwork:
                 walk(32, 32)
         assert model.trace_shapes(64, 64) == (8, 8)
 
-    def test_blur_radius_bounds_pool_input(self):
+    def test_blur_length_bounds_pool_input(self):
+        # like a wavelet filter, a 5-tap blur needs inputs of at least 5x5
         model = Network(micro_schedule(), parse_pool("blur:1-1-1-1-1"), VARIANT_C, num_classes=4)
-        with pytest.raises(InvalidConfig, match=r"stage3\.block0\.conv2\.pool: input 2x2"):
-            model.trace_shapes(8, 8)
-        assert model.trace_shapes(16, 16) == (2, 2)
+        with pytest.raises(InvalidConfig, match=r"stage3\.block0\.conv2\.pool: input 4x4"):
+            model.trace_shapes(16, 16)
+        assert model.trace_shapes(32, 32) == (4, 4)
 
     @pytest.mark.parametrize("h, w", [(-32, -32), (0, 0), (32, 0), (-2, 32)])
     def test_non_positive_size_rejected(self, h, w):

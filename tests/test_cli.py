@@ -168,6 +168,14 @@ class TestTransform:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", [b"-2 -3", b"4 -2"])
+    def test_non_positive_image_size_exits_2(self, tmp_path, capsys, size):
+        src = tmp_path / "bad.pgm"
+        src.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(8))
+        code = main(["transform", str(src), "--outdir", str(tmp_path / "out")])
+        assert code == 2
+        assert "not positive" in capsys.readouterr().err
+
     def test_odd_image_size_rejected(self, tmp_path, capsys):
         src = tmp_path / "odd.pgm"
         write_pgm(src, np.zeros((15, 16)))

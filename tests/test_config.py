@@ -196,6 +196,14 @@ class TestImageIo:
         with pytest.raises(UnsupportedFormat):
             write_pgm(tmp_path / "w.pgm", np.zeros((2, 2)), maxval=1023)
 
+    @pytest.mark.parametrize("size", [b"-2 -3", b"4 -2", b"0 4"])
+    def test_non_positive_size_rejected(self, tmp_path, size):
+        # eight raster bytes: a 4 by -2 header must not read them as 2x4
+        path = tmp_path / "t.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(8))
+        with pytest.raises(UnsupportedFormat, match="not positive"):
+            read_image(path)
+
     def test_truncated_raster_rejected(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n4 4\n255\n\x00\x00")

@@ -245,6 +245,27 @@ class TestBatchNorm:
         assert np.array_equal(out.data, expected)
         assert np.array_equal(rv, rv_expected)
 
+    @pytest.mark.parametrize(
+        "shape", [(50, 16, 32, 32), (50, 64, 8, 8), (3, 5, 7, 9), (1, 2, 1, 1)]
+    )
+    def test_train_backward_rounds_as_textbook_formula(self, rng, shape):
+        # the in-place backward must round exactly as
+        # (inv / n) * (n * dxhat - s1 - xhat * s2)
+        x = rng.normal(loc=0.5, scale=2.0, size=shape)
+        c = shape[1]
+        gamma = rng.normal(size=c)
+        g = rng.normal(size=shape)
+        xt = Tensor(x, requires_grad=True)
+        batchnorm2d(xt, Tensor(gamma), Tensor(np.zeros(c)), np.zeros(c), np.ones(c),
+                    training=True).backward(g)
+        n = x.size // c
+        inv = (1.0 / np.sqrt(x.var(axis=(0, 2, 3)) + 1e-5))[None, :, None, None]
+        xhat = (x - x.mean(axis=(0, 2, 3))[None, :, None, None]) * inv
+        dxhat = g * gamma[None, :, None, None]
+        s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+        s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        assert np.array_equal(xt.grad, (inv / n) * (n * dxhat - s1 - xhat * s2))
+
     @pytest.mark.parametrize("training", [True, False])
     def test_fd_gradients(self, rng, training):
         x = rng.normal(size=(4, 3, 4, 4))

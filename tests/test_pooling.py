@@ -6,7 +6,7 @@ import pytest
 from _gradcheck import gradcheck
 from wavepool import pooling
 from wavepool.autodiff import Tensor, make_rng
-from wavepool.backbone import Block, Network, StageSchedule, _run, parse_variant
+from wavepool.backbone import Block, Network, StageSchedule, _run, micro_schedule, parse_variant
 from wavepool.errors import (
     InputTooShort,
     InvalidHyperparameter,
@@ -28,6 +28,14 @@ from wavepool.pooling import (
 from wavepool.transforms import dwt2d, reconstruct_lowpass
 
 WAVELET_NAMES = ["haar", "db2", "db4", "ch3.3", "ch5.5"]
+LINEAR_POOLS = ["avg", "strided", "blur:1-2-1", "blur:1-4-6-4-1"] + [
+    f"wavelet:{name}" for name in WAVELET_NAMES]
+ALL_POOLS = ["max"] + LINEAR_POOLS
+
+
+def pool_params(texts):
+    """Parsed pool kinds, each wavelet one named by its wavelet alone."""
+    return [pytest.param(parse_pool(t), id=t.removeprefix("wavelet:")) for t in texts]
 
 
 @pytest.fixture
@@ -119,13 +127,13 @@ class TestWaveletPool:
             for c in range(3):
                 assert np.allclose(out.data[n, c], dwt2d(x[n, c], spec).ll, atol=1e-12)
 
-    @pytest.mark.parametrize("name", WAVELET_NAMES)
-    def test_adjoint_identity(self, rng, name):
-        # <pool(x), g> == <x, backward(g)> pins the backward pass exactly
-        spec = parse_wavelet(name)
+    @pytest.mark.parametrize("kind", pool_params(LINEAR_POOLS))
+    def test_adjoint_identity(self, rng, kind):
+        # <pool(x), g> == <x, backward(g)> pins the backward pass exactly;
+        # max is nonlinear and has no adjoint
         x = Tensor(rng.normal(size=(1, 2, 16, 16)), requires_grad=True)
         g = rng.normal(size=(1, 2, 8, 8))
-        out = wavelet_pool(x, spec)
+        out = kind.op()(x)
         out.backward(g)
         lhs = float((out.data * g).sum())
         rhs = float((x.data * x.grad).sum())
@@ -139,13 +147,13 @@ class TestWaveletPool:
         x = rng.normal(size=(1, 2, 12, 12))
         gradcheck(lambda xt: wavelet_pool(xt, spec), x, rng=rng)
 
-    @pytest.mark.parametrize("name", WAVELET_NAMES)
-    def test_full_stride_shift_equivariance(self, rng, name):
-        spec = parse_wavelet(name)
+    @pytest.mark.parametrize("kind", pool_params(ALL_POOLS))
+    def test_full_stride_shift_equivariance(self, rng, kind):
+        pool = kind.op()
         x = rng.normal(size=(1, 1, 16, 16))
         shifted = np.roll(x, shift=(2, 2), axis=(2, 3))
-        a = wavelet_pool(Tensor(shifted), spec).data
-        b = np.roll(wavelet_pool(Tensor(x), spec).data, shift=(1, 1), axis=(2, 3))
+        a = pool(Tensor(shifted)).data
+        b = np.roll(pool(Tensor(x)).data, shift=(1, 1), axis=(2, 3))
         assert np.max(np.abs(a - b)) <= 1e-12
 
     @pytest.mark.parametrize("name", WAVELET_NAMES)
@@ -227,10 +235,10 @@ class TestBlurPool:
         assert np.max(np.abs(out.data)) <= 1e-12
 
     def test_adjoint_identity(self, rng):
-        # 5 and 7 taps on a 4x4 input fold the reflections at both edges back
-        # onto the same samples; a single tap reflects nothing
-        for kernel, size in [(DEFAULT_BLUR_KERNEL, 8), (np.array([1, 4, 6, 4, 1]) / 16, 4),
-                             (np.array([1, 6, 15, 20, 15, 6, 1]) / 64, 4), ((1.0,), 4)]:
+        # 5 and 7 taps wrap past both edges of an 8x8 input; a single tap
+        # wraps nothing
+        for kernel, size in [(DEFAULT_BLUR_KERNEL, 8), (np.array([1, 4, 6, 4, 1]) / 16, 8),
+                             (np.array([1, 6, 15, 20, 15, 6, 1]) / 64, 8), ((1.0,), 4)]:
             x = Tensor(rng.normal(size=(1, 2, size, size)), requires_grad=True)
             g = rng.normal(size=(1, 2, size // 2, size // 2))
             out = blur_pool(x, kernel)
@@ -292,6 +300,18 @@ class TestPoolOp:
         assert np.allclose(blur_out.data, blur_pool(x).data)
         wave_out = parse_pool("wavelet:haar").op()(x)
         assert np.allclose(wave_out.data, wavelet_pool(x, parse_wavelet("haar")).data)
+
+    @pytest.mark.parametrize("kind", pool_params(ALL_POOLS))
+    def test_circular_network_is_full_stride_shift_equivariant(self, rng, kind):
+        # three 2x down-samplings: an (8, 8) circular shift of the input is
+        # a (1, 1) shift of the head's map, which global pooling ignores
+        variant = parse_variant("a" if kind.family == "strided" else "c")
+        model = Network(micro_schedule(), kind, variant, num_classes=3, seed=0,
+                        conv_pad="circular")
+        x = rng.normal(size=(2, 3, 64, 64))
+        a = model.forward(Tensor(x), training=False).data
+        b = model.forward(Tensor(np.roll(x, (8, 8), axis=(2, 3))), training=False).data
+        assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_network_runs_pool_functions_patched_before_it_is_built(self, rng, monkeypatch):
         # span tracing replaces the module attributes before building a

@@ -147,8 +147,8 @@ class TestAdjointIdentity:
         rng = np.random.default_rng(17)
         x = rng.standard_normal((16, 16))
         g = rng.standard_normal((8, 8))
-        lhs = float(np.sum(_analyze_ll(x, spec) * g))
-        rhs = float(np.sum(x * _analyze_ll_adjoint(g, spec)))
+        lhs = float(np.sum(_analyze_ll(x, spec.analysis_low) * g))
+        rhs = float(np.sum(x * _analyze_ll_adjoint(g, spec.analysis_low)))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     @pytest.mark.parametrize("name", ORTHOGONAL)
