@@ -14,7 +14,6 @@ from wavepool.backbone import (
     count_flops,
     count_params,
     micro_schedule,
-    parse_variant,
     resnet50_schedule,
 )
 from wavepool.pooling import parse_pool
@@ -28,9 +27,7 @@ def main():
         ("strided", "a"), ("max", "c"), ("avg", "c"), ("blur:1-2-1", "c"),
         ("wavelet:haar", "c"), ("wavelet:db4", "c"),
     ):
-        model = Network(
-            micro_schedule(), parse_pool(pool), parse_variant(variant), num_classes=4
-        )
+        model = Network(micro_schedule(), parse_pool(pool), variant, num_classes=4)
         label = f"{pool} / {variant}"
         print(f"{label:<24}{count_params(model):>10,}{count_flops(model, 32, 32):>14,}")
     print("every operator is parameter-free, so only the FLOP column moves;")
@@ -41,14 +38,12 @@ def main():
     print(f"{'schedule':<24}{'params':>12}{'gflops':>10}")
     print("-" * 46)
     base_sched = resnet50_schedule()
-    strided, original = parse_pool("strided"), parse_variant("a")
-    base = Network(base_sched, strided, original, num_classes=1000)
+    strided = parse_pool("strided")
+    base = Network(base_sched, strided, "a", num_classes=1000)
     p0, f0 = count_params(base), count_flops(base, 640, 512)
     print(f"{'baseline':<24}{p0:>12,}{f0 / 1e9:>10.2f}")
     for shift in (1, 2):  # the deepest stage has 3 blocks, so shift tops out at 2
-        heavy = Network(
-            bottom_heavy(base_sched, shift), strided, original, num_classes=1000
-        )
+        heavy = Network(bottom_heavy(base_sched, shift), strided, "a", num_classes=1000)
         p1, f1 = count_params(heavy), count_flops(heavy, 640, 512)
         print(
             f"{f'bottom-heavy shift {shift}':<24}{p1:>12,}{f1 / 1e9:>10.2f}"

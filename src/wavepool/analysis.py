@@ -176,9 +176,9 @@ def alias_energy_sweep(pool: PoolKind, freqs) -> MetricsReport:
             y_re = op(Tensor(x_re[None, None, :, :])).data[0, 0] / gain
             y_im = op(Tensor(x_im[None, None, :, :])).data[0, 0] / gain
         in_power = np.mean(x_re**2 + x_im**2)  # == 1
-        out_power = np.mean(y_re**2 + y_im**2)
+        ratio = float(np.mean(y_re**2 + y_im**2) / in_power)
         label = f"{freq / np.pi:.4f}pi"
-        report.add(f"energy_ratio@{label}", float(out_power / in_power), "ratio")
+        report.add(f"energy_ratio@{label}", ratio, "ratio")
 
         # Decimation doubles the frequency: the wave lands on diagonal bin
         # k mod (n/2) of the half grid.
@@ -187,9 +187,11 @@ def alias_energy_sweep(pool: PoolKind, freqs) -> MetricsReport:
         spec = np.abs(dft2(y_re) + 1j * dft2(y_im)) ** 2
         total = spec.sum()
         folded = spec[k_fold, k_fold]
+        # below 1e-20 the output is rounding noise at a filter null, not a
+        # response (the weakest real one in a sweep is about 4e-12)
         report.add(
             f"folded_fraction@{label}",
-            float(folded / total) if total > 0 else 0.0,
+            float(folded / total) if ratio > 1e-20 else 0.0,
             "fraction",
         )
         k_signed = k_fold if k_fold <= n_out // 2 else k_fold - n_out
@@ -259,15 +261,13 @@ def load_dataset(cfg: ExperimentConfig, split: str, data_dir: str = "") -> Label
         n = ds.n_train if split == "train" else ds.n_test
         # disjoint deterministic streams per split
         seed = cfg.train.seed * 2 + (0 if split == "train" else 1)
-        return make_tiny_object_set(
-            n, ds.image_size, ds.object_size, ds.classes, seed=seed, split=split
-        )
+        return make_tiny_object_set(n, ds.image_size, ds.object_size, ds.classes, seed=seed)
     path = ds.path
     if data_dir and not os.path.isabs(path):
         path = os.path.join(data_dir, path)
     if ds.kind == "cifar100":
         return load_cifar100(path, split)
-    return load_image_set(path, split)
+    return load_image_set(path)
 
 
 def build_model_from_config(cfg: ExperimentConfig, num_classes: int,
@@ -276,18 +276,18 @@ def build_model_from_config(cfg: ExperimentConfig, num_classes: int,
     schedule = bb.micro_schedule() if cfg.model.schedule == "micro" else bb.resnet50_schedule()
     if cfg.model.bottom_heavy_shift:
         schedule = bb.bottom_heavy(schedule, cfg.model.bottom_heavy_shift)
-    mean = std = None
+    data = {}
     if train_set is not None:
         mean, std = train_set.channel_stats()
+        data = dict(input_mean=mean, input_std=std, in_channels=train_set.images.shape[1])
     return bb.Network(
         schedule,
         parse_pool(pool if pool is not None else cfg.model.pool),
-        bb.parse_variant(cfg.model.variant),
+        cfg.model.variant,
         num_classes=num_classes,
         seed=cfg.train.seed,
         conv_pad=cfg.model.conv_pad,
-        input_mean=mean,
-        input_std=std,
+        **data,
     )
 
 

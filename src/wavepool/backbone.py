@@ -1,13 +1,15 @@
 """Residual micro-networks with selectable down-sampling and accounting.
 
-A network is stem -> stages of bottleneck blocks -> global average pool ->
-linear classifier.  Three block orders exist at down-sampling blocks:
+A network is one list of layers: the stem's, then the bottleneck blocks,
+then the head (global average pool and linear classifier).  A variant is
+its config letter; three block orders exist at down-sampling blocks:
 
-- Original ("a"): stride-2 convolutions on both the main and skip path;
-- PoolBeforeConvSkip ("b"): the stride-2 convs become stride-1 convs and a
-  pooling operator; the pool sits after the 3x3 conv on the main path but
-  before the 1x1 conv on the skip path;
-- ConsistentPoolAfterConv ("c"): pooling after the conv on both paths.
+- "a" (original): stride-2 convolutions on both the main and skip path;
+- "b" (pool before the skip conv): the stride-2 convs become stride-1 convs
+  and a pooling operator; the pool sits after the 3x3 conv on the main path
+  but before the 1x1 conv on the skip path;
+- "c" (consistent, pool after the conv): pooling after the conv on both
+  paths.
 
 The main paths of (b) and (c) are identical by construction; the variants
 differ only in skip-path order.  For 1x1 bias-free skip convs and a linear
@@ -43,7 +45,6 @@ zero padding remains available via ``conv_pad="same"``.
 
 from __future__ import annotations
 
-import enum
 import struct
 from dataclasses import dataclass, replace
 
@@ -58,17 +59,7 @@ CHECKPOINT_MAGIC = b"WVPK"
 CHECKPOINT_VERSION = 1
 
 
-class BlockOrderVariant(enum.Enum):
-    ORIGINAL = "a"
-    POOL_BEFORE_CONV_SKIP = "b"
-    CONSISTENT_POOL_AFTER_CONV = "c"
-
-
-def parse_variant(text: str) -> BlockOrderVariant:
-    try:
-        return BlockOrderVariant(text.strip())
-    except ValueError:
-        raise InvalidConfig(f"unknown block variant {text!r}") from None
+VARIANTS = ("a", "b", "c")
 
 
 @dataclass(frozen=True)
@@ -164,11 +155,12 @@ def bottom_heavy(schedule: StageSchedule, shift: int = 2) -> StageSchedule:
 # ---------------------------------------------------------------------------
 # layers
 #
-# A network is described as ordered lists of layers: the stem, and each
-# block's main and skip path.  Every layer is called as layer(x, training)
-# and reports, for one (h, w) input image, its output size (``out_hw``) and
-# its forward FLOPs (``flops``); forward, shape tracing, FLOP counting,
-# parameters and checkpoint state all iterate the same lists.
+# A network is described as ordered lists of layers: the stem, each
+# block's main and skip path, and the head.  Every layer is called as
+# layer(x, training) and reports, for one (h, w) input image, its output
+# size (``out_hw``) and its forward FLOPs (``flops``); forward, shape
+# tracing, FLOP counting, parameters and checkpoint state all iterate the
+# same lists.
 
 
 def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -183,13 +175,21 @@ def _halve(name, h, w):
 
 
 class _Layer:
-    """Defaults for a parameter-free layer that keeps the spatial size."""
+    """Defaults for a parameter-free layer that keeps the spatial size.
+
+    ``tensors`` holds the layer's (key, value) pairs in checkpoint order: a
+    Parameter is learnable, a plain array (batchnorm running statistics) is
+    state only.  Checkpoint names are ``f"{name}.{key}"``.
+    """
+
+    tensors = ()
 
     def parameters(self):
-        return []
+        return [t for _key, t in self.tensors if isinstance(t, Parameter)]
 
     def state(self):
-        return []
+        return [(f"{self.name}.{key}", t.data if isinstance(t, Parameter) else t)
+                for key, t in self.tensors]
 
     def out_hw(self, h, w):
         return h, w
@@ -204,15 +204,10 @@ class _Conv(_Layer):
         self.stride, self.pad = stride, pad
         fan_in = in_ch * kernel * kernel
         self.weight = Parameter(_kaiming_uniform(rng, (out_ch, in_ch, kernel, kernel), fan_in))
+        self.tensors = (("weight", self.weight),)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return conv2d(x, self.weight, stride=self.stride, pad=self.pad)
-
-    def parameters(self):
-        return [self.weight]
-
-    def state(self):
-        return [(f"{self.name}.weight", self.weight.data)]
 
     def out_hw(self, h, w):
         return _halve(self.name, h, w) if self.stride == 2 else (h, w)
@@ -230,22 +225,13 @@ class _BatchNorm(_Layer):
         self.beta = Parameter(np.zeros(ch))
         self.running_mean = np.zeros(ch)
         self.running_var = np.ones(ch)
+        self.tensors = (("gamma", self.gamma), ("beta", self.beta),
+                        ("running_mean", self.running_mean), ("running_var", self.running_var))
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return batchnorm2d(
             x, self.gamma, self.beta, self.running_mean, self.running_var, training
         )
-
-    def parameters(self):
-        return [self.gamma, self.beta]
-
-    def state(self):
-        return [
-            (f"{self.name}.gamma", self.gamma.data),
-            (f"{self.name}.beta", self.beta.data),
-            (f"{self.name}.running_mean", self.running_mean),
-            (f"{self.name}.running_var", self.running_var),
-        ]
 
     def flops(self, h, w) -> int:
         return 2 * self.ch * h * w
@@ -283,24 +269,24 @@ class _Pool(_Layer):
         return self.kind.flops(self.ch, h, w)
 
 
-class _Linear:
-    def __init__(self, name, in_features, out_features, rng):
-        self.name = name
-        self.in_features, self.out_features = in_features, out_features
-        self.weight = Parameter(_kaiming_uniform(rng, (out_features, in_features), in_features))
-        self.bias = Parameter(np.zeros(out_features))
+class _Head(_Layer):
+    """Global average pool over ``ch`` channels, then the linear classifier."""
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight, self.bias)
+    def __init__(self, ch, classes, rng):
+        self.name = "head.fc"
+        self.ch, self.classes = ch, classes
+        self.weight = Parameter(_kaiming_uniform(rng, (classes, ch), ch))
+        self.bias = Parameter(np.zeros(classes))
+        self.tensors = (("weight", self.weight), ("bias", self.bias))
 
-    def parameters(self):
-        return [self.weight, self.bias]
+    def __call__(self, x: Tensor, training: bool) -> Tensor:
+        return linear(global_avg_pool(x), self.weight, self.bias)
 
-    def state(self):
-        return [(f"{self.name}.weight", self.weight.data), (f"{self.name}.bias", self.bias.data)]
+    def out_hw(self, h, w):
+        return 1, 1
 
-    def flops(self) -> int:
-        return 2 * self.in_features * self.out_features + self.out_features
+    def flops(self, h, w) -> int:
+        return self.ch * (h * w + 1) + (2 * self.ch + 1) * self.classes
 
 
 def _substitute(layers, pool: PoolKind, pool_first: bool = False):
@@ -362,13 +348,14 @@ class Block(_Layer):
     def __init__(self, name, in_ch, out_ch, downsample, pool, variant, expansion, pad, rng):
         if in_ch < 1 or out_ch < 1:
             raise InvalidConfig(f"{name}: channel counts must be positive")
-        if variant is not BlockOrderVariant.ORIGINAL and pool.family == "strided":
+        if variant not in VARIANTS:
+            raise InvalidConfig(f"unknown block variant {variant!r}")
+        if variant != "a" and pool.family == "strided":
             raise InvalidConfig(
-                f"{name}: variant {variant.value!r} requires a pooling operator, "
-                "not StridedConv"
+                f"{name}: variant {variant!r} requires a pooling operator, not StridedConv"
             )
         self.name = name
-        self.in_ch, self.out_ch = in_ch, out_ch
+        self.out_ch = out_ch
         width = max(1, out_ch // expansion)
         stride = 2 if downsample else 1
 
@@ -388,11 +375,9 @@ class Block(_Layer):
             self.skip_bn = _BatchNorm(f"{name}.skip_bn", out_ch)
             self.skip = [self.skip_conv, self.skip_bn]
 
-        if variant is not BlockOrderVariant.ORIGINAL:
+        if variant != "a":
             self.main = _substitute(self.main, pool)
-            self.skip = _substitute(
-                self.skip, pool, pool_first=variant is BlockOrderVariant.POOL_BEFORE_CONV_SKIP
-            )
+            self.skip = _substitute(self.skip, pool, pool_first=variant == "b")
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
         return relu(_run(self.main, x, training) + _run(self.skip, x, training))
@@ -417,18 +402,18 @@ class Block(_Layer):
 class Network:
     """Stem -> bottleneck stages -> global average pool -> classifier.
 
-    ``layers`` is the stem's layer list followed by the blocks.
+    ``layers`` is the stem's layer list followed by the blocks; ``head`` is
+    the global average pool and classifier that follow them.  ``variant``
+    is one of ``VARIANTS``.
     """
 
-    def __init__(self, schedule: StageSchedule, pool: PoolKind, variant: BlockOrderVariant,
+    def __init__(self, schedule: StageSchedule, pool: PoolKind, variant: str,
                  num_classes: int, seed: int = 0, conv_pad: str = "circular",
                  input_mean=None, input_std=None, in_channels: int = 3):
         if num_classes < 2:
             raise InvalidConfig(f"num_classes must be >= 2, got {num_classes}")
         if conv_pad not in ("circular", "same"):
             raise InvalidConfig(f"conv_pad must be 'circular' or 'same', got {conv_pad!r}")
-        self.num_classes = num_classes
-        self.conv_pad = conv_pad
         self.in_channels = in_channels
         if (input_mean is None) != (input_std is None):
             raise InvalidConfig("input_mean and input_std must be given together")
@@ -470,8 +455,7 @@ class Network:
                 self.blocks.append(block)
                 in_ch = out_ch
         self.layers = _substitute(stem, pool) + self.blocks
-        self.feature_channels = in_ch
-        self.fc = _Linear("head.fc", in_ch, num_classes, rng)
+        self.head = _Head(in_ch, num_classes, rng)
 
     def trace_shapes(self, h: int, w: int):
         """Walk spatial dims; raise InvalidConfig for a non-positive size or
@@ -489,17 +473,17 @@ class Network:
         if self.input_mean is not None:
             x = Tensor((x.data + -self.input_mean[None, :, None, None])
                        * (1.0 / self.input_std[None, :, None, None]))
-        return self.fc(global_avg_pool(_run(self.layers, x, training)))
+        return _run(self.layers + [self.head], x, training)
 
     __call__ = forward
 
     # -- parameters and serialization ----------------------------------------
 
     def parameters(self):
-        return [p for layer in self.layers for p in layer.parameters()] + self.fc.parameters()
+        return [p for layer in self.layers + [self.head] for p in layer.parameters()]
 
     def state(self):
-        return [item for layer in self.layers for item in layer.state()] + self.fc.state()
+        return [item for layer in self.layers + [self.head] for item in layer.state()]
 
     def load_state(self, tensors: dict[str, np.ndarray]) -> None:
         own = self.state()
@@ -530,9 +514,7 @@ def count_flops(model: Network, h: int, w: int) -> int:
     """Forward FLOPs for one (in_channels, h, w) image per the documented
     integer conventions."""
     total = 2 * model.in_channels * h * w if model.input_mean is not None else 0
-    layers, h, w = _walk(model.layers, h, w)
-    total += layers + model.feature_channels * (h * w + 1)  # global average pool
-    return int(total + model.fc.flops())
+    return int(total + _walk(model.layers + [model.head], h, w)[0])
 
 
 # ---------------------------------------------------------------------------

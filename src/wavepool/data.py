@@ -40,12 +40,11 @@ IMAGESET_VERSION = 1
 
 @dataclass
 class LabeledImageSet:
-    """Images N x 3 x H x W as float64 in [0,1] with integer labels."""
+    """Images N x C x H x W as float64 in [0,1] with integer labels."""
 
     images: np.ndarray
     labels: np.ndarray
     class_count: int
-    split: str
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
@@ -124,7 +123,6 @@ def load_cifar100(path, split: str) -> LabeledImageSet:
         images=images.astype(np.float64) / 255.0,
         labels=fine.astype(np.int64),
         class_count=100,
-        split=split,
     )
 
 
@@ -173,7 +171,6 @@ def make_tiny_object_set(
     object_size: int = 6,
     classes: int = 4,
     seed: int = 0,
-    split: str = "train",
 ) -> LabeledImageSet:
     """Generate n labeled images: smooth background + one textured patch.
 
@@ -209,7 +206,7 @@ def make_tiny_object_set(
         img[:, r:r + object_size, c:c + object_size] += patch[None, :, :]
         images[idx] = img
     np.clip(images, 0.0, 1.0, out=images)
-    return LabeledImageSet(images=images, labels=labels, class_count=classes, split=split)
+    return LabeledImageSet(images=images, labels=labels, class_count=classes)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +222,7 @@ def save_image_set(path, dataset: LabeledImageSet) -> None:
         f.write(np.ascontiguousarray(dataset.images, dtype="<f8").tobytes())
 
 
-def load_image_set(path, split: str = "train") -> LabeledImageSet:
+def load_image_set(path) -> LabeledImageSet:
     if not os.path.exists(path):
         raise DatasetNotFound(f"no such dataset file: {path}")
     with open(path, "rb") as f:
@@ -246,5 +243,4 @@ def load_image_set(path, split: str = "train") -> LabeledImageSet:
         images=images.reshape(n, c, h, w).astype(np.float64),
         labels=labels,
         class_count=class_count,
-        split=split,
     )

@@ -40,7 +40,6 @@ from wavepool.backbone import (
     count_flops,
     count_params,
     micro_schedule,
-    parse_variant,
     resnet50_schedule,
 )
 from wavepool.cli import main as cli_main
@@ -277,21 +276,21 @@ def test_criterion_06_counter_reproduction():
     assert conv.flops(8, 8) == 1152  # 2 FLOPs/MAC * 9 taps * 64 outputs
 
     micro = Network(
-        micro_schedule(), parse_pool("wavelet:haar"), parse_variant("c"), num_classes=4
+        micro_schedule(), parse_pool("wavelet:haar"), "c", num_classes=4
     )
     assert count_params(micro) == schedule_params(micro_schedule(), 4) == 148_372
     assert count_flops(micro, 32, 32) == micro_haar_variant_c_flops(32, 32, 4)
 
     resnet = Network(
-        resnet50_schedule(), parse_pool("strided"), parse_variant("a"), num_classes=1000
+        resnet50_schedule(), parse_pool("strided"), "a", num_classes=1000
     )
     assert count_params(resnet) == schedule_params(resnet50_schedule(), 1000) == 25_557_032
     assert count_flops(resnet, 640, 512) == resnet50_strided_flops(640, 512, 1000)
 
-    for pool_text, variant in (
+    for pool_text, var in (
         ("max", "c"), ("avg", "c"), ("blur:1-2-1", "c"), ("wavelet:db4", "b")
     ):
-        pool, var = parse_pool(pool_text), parse_variant(variant)
+        pool = parse_pool(pool_text)
         assert count_params(Network(micro_schedule(), pool, var, num_classes=4)) == 148_372
         assert (
             count_params(Network(resnet50_schedule(), pool, var, num_classes=1000))
@@ -306,7 +305,7 @@ def test_criterion_06_counter_reproduction():
 def test_criterion_07_bottom_heavy_tradeoff():
     """Shifting two blocks toward the stem cuts >= 25% of the ResNet50-shaped
     parameters while holding 640x512 FLOPs within +/- 5%."""
-    strided, original = parse_pool("strided"), parse_variant("a")
+    strided, original = parse_pool("strided"), "a"
     base = Network(resnet50_schedule(), strided, original, num_classes=1000)
     heavy = Network(
         bottom_heavy(resnet50_schedule(), shift=2), strided, original, num_classes=1000

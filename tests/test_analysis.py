@@ -21,7 +21,6 @@ from wavepool.backbone import (
     Network,
     StageSchedule,
     micro_schedule,
-    parse_variant,
     read_checkpoint,
     save_checkpoint,
 )
@@ -221,6 +220,14 @@ class TestAliasEnergySweep:
             assert report.value(f"energy_ratio@{label}") == pytest.approx(response**4, abs=1e-12)
             assert report.value(f"folded_fraction@{label}") == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("pool_text", ["avg", "wavelet:haar", "blur:1-2-1", "blur:1-4-6-4-1"])
+    def test_filter_null_reports_no_folded_energy(self, pool_text):
+        # pi is a null of these filters: the output is rounding noise
+        # (about 4e-29), so there is no energy to find at the folded bin
+        report = alias_energy_sweep(parse_pool(pool_text), [PI])
+        assert report.value("energy_ratio@1.0000pi") <= 1e-20
+        assert report.value("folded_fraction@1.0000pi") == 0.0
+
     def test_off_grid_frequency_rejected(self):
         with pytest.raises(InvalidConfig):
             alias_energy_sweep(parse_pool("avg"), [0.77])
@@ -241,7 +248,7 @@ class TestShiftConsistency:
         # with no down-sampling every circular shift is a full-stride shift,
         # so predictions cannot move
         schedule = StageSchedule(stages=((1, 8, False),), stem_channels=8, expansion=2)
-        model = Network(schedule, parse_pool("wavelet:haar"), parse_variant("c"),
+        model = Network(schedule, parse_pool("wavelet:haar"), "c",
                         num_classes=4, seed=1, conv_pad="circular")
         data = make_tiny_object_set(6, image_size=16, object_size=2, classes=4, seed=0)
         report = shift_consistency(model, data, max_shift=3)
@@ -249,7 +256,7 @@ class TestShiftConsistency:
         assert report.value("logit_cosine") >= 1.0 - 1e-12
 
     def test_zero_weight_model_reports_unit_cosine_by_convention(self):
-        model = Network(micro_schedule(), parse_pool("max"), parse_variant("c"),
+        model = Network(micro_schedule(), parse_pool("max"), "c",
                         num_classes=4, seed=0)
         for _name, arr in model.state():
             arr[...] = 0.0
@@ -259,7 +266,7 @@ class TestShiftConsistency:
         assert report.value("argmax_agreement") == 1.0
 
     def test_scores_bounded(self):
-        model = Network(micro_schedule(), parse_pool("strided"), parse_variant("a"),
+        model = Network(micro_schedule(), parse_pool("strided"), "a",
                         num_classes=4, seed=5, conv_pad="same")
         data = make_tiny_object_set(5, image_size=16, object_size=2, classes=4, seed=2)
         report = shift_consistency(model, data, max_shift=2)
@@ -267,7 +274,7 @@ class TestShiftConsistency:
         assert -1.0 <= report.value("logit_cosine") <= 1.0
 
     def test_sample_limit(self):
-        model = Network(micro_schedule(), parse_pool("max"), parse_variant("c"),
+        model = Network(micro_schedule(), parse_pool("max"), "c",
                         num_classes=4, seed=0)
         data = make_tiny_object_set(6, image_size=16, object_size=2, classes=4, seed=0)
         report = shift_consistency(model, data, max_shift=1, sample_limit=2)
@@ -276,7 +283,7 @@ class TestShiftConsistency:
             shift_consistency(model, data, max_shift=1, sample_limit=-3)
 
     def test_bad_max_shift_rejected(self):
-        model = Network(micro_schedule(), parse_pool("max"), parse_variant("c"),
+        model = Network(micro_schedule(), parse_pool("max"), "c",
                         num_classes=4, seed=0)
         data = make_tiny_object_set(2, image_size=16, object_size=2, classes=2, seed=0)
         with pytest.raises(InvalidConfig):
@@ -377,7 +384,7 @@ class TestExperimentRuns:
     def test_kd_with_full_hard_label_weight_matches_plain(self, tmp_path):
         # alpha = 1 reduces kd_loss to plain cross-entropy exactly, so the
         # whole run must be bit-identical to plain mode
-        teacher = Network(micro_schedule(), parse_pool("max"), parse_variant("c"),
+        teacher = Network(micro_schedule(), parse_pool("max"), "c",
                           num_classes=2, seed=42)
         tpath = tmp_path / "teacher.wvpk"
         save_checkpoint(teacher, tpath)
@@ -400,7 +407,7 @@ class TestExperimentRuns:
             train_model(parse_config(text))[1]
 
     def test_evaluate_bounds(self):
-        model = Network(micro_schedule(), parse_pool("max"), parse_variant("c"),
+        model = Network(micro_schedule(), parse_pool("max"), "c",
                         num_classes=2, seed=0)
         data = make_tiny_object_set(10, image_size=16, object_size=2, classes=2, seed=1)
         loss, acc = evaluate(model, data, batch_size=4)

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wavepool.autodiff import Tensor, make_rng
+from wavepool.autodiff import Parameter, Tensor, make_rng
 from wavepool.backbone import (
+    VARIANTS,
     Block,
-    BlockOrderVariant,
     Network,
     StageSchedule,
     _run,
@@ -24,7 +24,6 @@ from wavepool.backbone import (
     count_params,
     load_checkpoint,
     micro_schedule,
-    parse_variant,
     read_checkpoint,
     resnet50_schedule,
     save_checkpoint,
@@ -35,9 +34,6 @@ from wavepool.pooling import PoolKind, parse_pool
 HAAR = parse_pool("wavelet:haar")
 MAX = parse_pool("max")
 STRIDED = parse_pool("strided")
-VARIANT_A = BlockOrderVariant.ORIGINAL
-VARIANT_B = BlockOrderVariant.POOL_BEFORE_CONV_SKIP
-VARIANT_C = BlockOrderVariant.CONSISTENT_POOL_AFTER_CONV
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +107,15 @@ def rng():
 
 class TestSchedules:
     def test_micro_feature_map_is_4x4_on_32x32(self):
-        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4)
         assert model.trace_shapes(32, 32) == (4, 4)
 
     def test_micro_has_three_downsamples(self):
-        model = Network(micro_schedule(), STRIDED, VARIANT_A, num_classes=4)
+        model = Network(micro_schedule(), STRIDED, "a", num_classes=4)
         assert model.trace_shapes(32, 32) == (4, 4)
 
     def test_resnet50_shape_has_five_downsamples(self):
-        model = Network(resnet50_schedule(), STRIDED, VARIANT_A, num_classes=1000)
+        model = Network(resnet50_schedule(), STRIDED, "a", num_classes=1000)
         assert model.trace_shapes(224, 224) == (7, 7)
 
     def test_invalid_schedules_rejected(self):
@@ -133,19 +129,20 @@ class TestSchedules:
             StageSchedule(stages=((2, 16, True),), stem_stride=3)
 
     def test_parse_variant(self):
-        assert parse_variant("a") is VARIANT_A
-        assert parse_variant("b") is VARIANT_B
-        assert parse_variant("c") is VARIANT_C
-        for text in ("d", "B", "original", "pool_before_conv_skip"):
-            with pytest.raises(InvalidConfig):
-                parse_variant(text)
+        # a variant is its config letter; any other spelling is refused
+        assert VARIANTS == ("a", "b", "c")
+        for text in ("d", "B", "original", "pool_before_conv_skip", " c"):
+            with pytest.raises(InvalidConfig, match="variant"):
+                Network(micro_schedule(), HAAR, text, num_classes=4)
+            with pytest.raises(InvalidConfig, match="variant"):
+                Block("block", 8, 16, True, HAAR, text, 2, "circular", make_rng(0))
 
 
 class TestBlockVariants:
     def test_non_downsampling_blocks_identical_across_variants(self, rng):
         x = Tensor(rng.normal(size=(2, 8, 8, 8)))
         outs = []
-        for variant in (VARIANT_A, VARIANT_B, VARIANT_C):
+        for variant in ("a", "b", "c"):
             block = Block("block", 8, 8, False, HAAR, variant, 2, "circular", make_rng(3))
             outs.append(block.forward(x, training=False).data)
         assert np.array_equal(outs[0], outs[1])
@@ -154,8 +151,8 @@ class TestBlockVariants:
     def test_b_and_c_skip_paths_commute(self, rng):
         # 1x1 bias-free skip conv and linear pooling commute exactly
         x = Tensor(rng.normal(size=(2, 8, 8, 8)))
-        b = Block("block", 8, 16, True, HAAR, VARIANT_B, 2, "circular", make_rng(3))
-        c = Block("block", 8, 16, True, HAAR, VARIANT_C, 2, "circular", make_rng(3))
+        b = Block("block", 8, 16, True, HAAR, "b", 2, "circular", make_rng(3))
+        c = Block("block", 8, 16, True, HAAR, "c", 2, "circular", make_rng(3))
         sb = _run(b.skip, x, training=False).data
         sc = _run(c.skip, x, training=False).data
         assert np.max(np.abs(sb - sc)) <= 1e-10
@@ -163,30 +160,30 @@ class TestBlockVariants:
     def test_b_and_c_full_blocks_agree(self, rng):
         # main paths are identical by construction, skip paths commute
         x = Tensor(rng.normal(size=(2, 8, 8, 8)))
-        b = Block("block", 8, 16, True, HAAR, VARIANT_B, 2, "circular", make_rng(3))
-        c = Block("block", 8, 16, True, HAAR, VARIANT_C, 2, "circular", make_rng(3))
+        b = Block("block", 8, 16, True, HAAR, "b", 2, "circular", make_rng(3))
+        c = Block("block", 8, 16, True, HAAR, "c", 2, "circular", make_rng(3))
         ob = b.forward(x, training=False).data
         oc = c.forward(x, training=False).data
         assert np.max(np.abs(ob - oc)) <= 1e-10
 
     def test_variant_a_downsamples_with_stride(self, rng):
-        block = Block("block", 8, 16, True, STRIDED, VARIANT_A, 2, "circular", rng)
+        block = Block("block", 8, 16, True, STRIDED, "a", 2, "circular", rng)
         out = block.forward(Tensor(rng.normal(size=(1, 8, 8, 8))), training=False)
         assert out.shape == (1, 16, 4, 4)
 
     def test_pooling_variants_downsample_too(self, rng):
-        for variant in (VARIANT_B, VARIANT_C):
+        for variant in ("b", "c"):
             block = Block("block", 8, 16, True, MAX, variant, 2, "circular", make_rng(1))
             out = block.forward(Tensor(rng.normal(size=(1, 8, 8, 8))), training=False)
             assert out.shape == (1, 16, 4, 4)
 
     def test_strided_pool_with_pooling_variant_rejected(self):
         with pytest.raises(InvalidConfig):
-            Block("block", 8, 16, True, STRIDED, VARIANT_C, 4, "circular", make_rng(0))
+            Block("block", 8, 16, True, STRIDED, "c", 4, "circular", make_rng(0))
 
     def test_bad_channels_rejected(self):
         with pytest.raises(InvalidConfig):
-            Block("block", 0, 16, False, HAAR, VARIANT_C, 4, "circular", make_rng(0))
+            Block("block", 0, 16, False, HAAR, "c", 4, "circular", make_rng(0))
 
 
 class TestParamCounts:
@@ -200,22 +197,27 @@ class TestParamCounts:
         assert conv.flops(8, 8) == 1152
 
     def test_resnet50_shape_param_count_exact(self):
-        model = Network(resnet50_schedule(), STRIDED, VARIANT_A, num_classes=1000)
+        model = Network(resnet50_schedule(), STRIDED, "a", num_classes=1000)
         n = count_params(model)
         assert n == schedule_params(resnet50_schedule(), 1000)
         assert n == 25_557_032
 
     def test_micro_param_count_exact(self):
-        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4)
         n = count_params(model)
         assert n == schedule_params(micro_schedule(), 4)
         assert n == 148_372
 
     @pytest.mark.parametrize(
         "pool_text,variant",
-        [("strided", VARIANT_A), ("max", VARIANT_C), ("avg", VARIANT_C),
-         ("blur:1-2-1", VARIANT_C), ("wavelet:haar", VARIANT_C),
-         ("wavelet:db4", VARIANT_B)],
+        [pytest.param(pool_text, variant, id=f"{pool_text}-BlockOrderVariant.{name}")
+         for pool_text, variant, name in (
+             ("strided", "a", "ORIGINAL"),
+             ("max", "c", "CONSISTENT_POOL_AFTER_CONV"),
+             ("avg", "c", "CONSISTENT_POOL_AFTER_CONV"),
+             ("blur:1-2-1", "c", "CONSISTENT_POOL_AFTER_CONV"),
+             ("wavelet:haar", "c", "CONSISTENT_POOL_AFTER_CONV"),
+             ("wavelet:db4", "b", "POOL_BEFORE_CONV_SKIP"))],
     )
     def test_pool_replacement_leaves_params_invariant(self, pool_text, variant):
         # every pooling operator is parameter-free and strided convs keep
@@ -224,18 +226,18 @@ class TestParamCounts:
         assert count_params(model) == 148_372
 
     def test_wavelet_pool_itself_has_no_params(self):
-        wave = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
-        maxp = Network(micro_schedule(), MAX, VARIANT_C, num_classes=4)
+        wave = Network(micro_schedule(), HAAR, "c", num_classes=4)
+        maxp = Network(micro_schedule(), MAX, "c", num_classes=4)
         assert count_params(wave) == count_params(maxp)
 
 
 class TestFlopCounts:
     def test_micro_haar_matches_hand_walked_table(self):
-        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4)
         assert count_flops(model, 32, 32) == micro_haar_variant_c_flops(32, 32, 4)
 
     def test_flops_scale_with_input_area(self):
-        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4)
         f32 = count_flops(model, 32, 32)
         f64 = count_flops(model, 64, 64)
         # constant head terms break exact 4x scaling, but barely
@@ -244,8 +246,8 @@ class TestFlopCounts:
     def test_pool_swap_changes_flops_by_pool_terms_only(self):
         # at a fixed variant the networks differ only in the pooling
         # operators, so the FLOP difference is the sum of per-site pool terms
-        wave = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
-        maxp = Network(micro_schedule(), MAX, VARIANT_C, num_classes=4)
+        wave = Network(micro_schedule(), HAAR, "c", num_classes=4)
+        maxp = Network(micro_schedule(), MAX, "c", num_classes=4)
         diff = count_flops(wave, 32, 32) - count_flops(maxp, 32, 32)
         sites = []  # (channels, h, w) of each pooling site
         h = w = 32
@@ -260,8 +262,8 @@ class TestFlopCounts:
         assert diff == expected
 
     def test_wavelet_flops_grow_with_filter_length(self):
-        short = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
-        long = Network(micro_schedule(), parse_pool("wavelet:db4"), VARIANT_C,
+        short = Network(micro_schedule(), HAAR, "c", num_classes=4)
+        long = Network(micro_schedule(), parse_pool("wavelet:db4"), "c",
                        num_classes=4)
         assert count_flops(long, 32, 32) > count_flops(short, 32, 32)
         assert count_params(long) == count_params(short)
@@ -278,7 +280,7 @@ class TestFlopCounts:
         # order on the ResNet50 layout; wavelet with variant a substitutes
         # the stem sites but keeps the block convs strided
         model = Network(resnet50_schedule(), parse_pool(pool_text),
-                        parse_variant(variant), num_classes=10)
+                        variant, num_classes=10)
         assert count_params(model) == 23_528_522
         assert model.trace_shapes(224, 224) == (7, 7)
         assert count_flops(model, 224, 224) == flops
@@ -292,8 +294,8 @@ class TestBottomHeavy:
     def test_preserves_downsample_count_and_output_shape(self):
         base = resnet50_schedule()
         heavy = bottom_heavy(base, shift=2)
-        a = Network(base, STRIDED, VARIANT_A, num_classes=10)
-        b = Network(heavy, STRIDED, VARIANT_A, num_classes=10)
+        a = Network(base, STRIDED, "a", num_classes=10)
+        b = Network(heavy, STRIDED, "a", num_classes=10)
         assert a.trace_shapes(224, 224) == b.trace_shapes(224, 224) == (7, 7)
 
     def test_moves_blocks_from_deepest_stage(self):
@@ -305,18 +307,18 @@ class TestBottomHeavy:
         )
 
     def test_resnet50_shape_param_and_flop_relationship(self):
-        base = Network(resnet50_schedule(), STRIDED, VARIANT_A, num_classes=1000)
+        base = Network(resnet50_schedule(), STRIDED, "a", num_classes=1000)
         heavy = Network(bottom_heavy(resnet50_schedule(), shift=2), STRIDED,
-                        VARIANT_A, num_classes=1000)
+                        "a", num_classes=1000)
         p0, p1 = count_params(base), count_params(heavy)
         f0, f1 = count_flops(base, 640, 512), count_flops(heavy, 640, 512)
         assert (p0 - p1) / p0 >= 0.25
         assert abs(f1 - f0) / f0 <= 0.05
 
     def test_micro_counters_move_the_same_direction(self):
-        base = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        base = Network(micro_schedule(), HAAR, "c", num_classes=4)
         heavy = Network(bottom_heavy(micro_schedule(), shift=1), HAAR,
-                        VARIANT_C, num_classes=4)
+                        "c", num_classes=4)
         assert count_params(heavy) < count_params(base)
         f0, f1 = count_flops(base, 32, 32), count_flops(heavy, 32, 32)
         assert abs(f1 - f0) / f0 <= 0.05
@@ -333,7 +335,7 @@ class TestBottomHeavy:
 
 class TestNetwork:
     def test_forward_shape_and_determinism(self, rng):
-        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=1)
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=1)
         x = rng.normal(size=(3, 3, 32, 32))
         out1 = model(Tensor(x)).data
         out2 = model(Tensor(x)).data
@@ -341,22 +343,22 @@ class TestNetwork:
         assert np.array_equal(out1, out2)
 
     def test_same_seed_same_init(self):
-        a = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=7)
-        b = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=7)
+        a = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=7)
+        b = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=7)
         for (na, pa), (nb, pb) in zip(a.state(), b.state()):
             assert na == nb
             assert np.array_equal(pa, pb)
 
     def test_different_seed_different_init(self):
-        a = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=7)
-        b = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=8)
+        a = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=7)
+        b = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=8)
         assert not np.array_equal(a.stem_conv.weight.data, b.stem_conv.weight.data)
 
     def test_input_normalization_matches_manual(self, rng):
         mean, std = (0.4, 0.5, 0.6), (0.2, 0.25, 0.3)
-        norm = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=2,
+        norm = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=2,
                        input_mean=mean, input_std=std)
-        plain = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=2)
+        plain = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=2)
         x = rng.uniform(size=(2, 3, 32, 32))
         xn = (x - np.asarray(mean)[None, :, None, None]) / np.asarray(std)[None, :, None, None]
         assert np.allclose(norm(Tensor(x)).data, plain(Tensor(xn)).data, atol=1e-10)
@@ -366,13 +368,13 @@ class TestNetwork:
         assert np.array_equal(norm(Tensor(x)).data, plain(Tensor(xb)).data)
 
     def test_odd_dim_error_names_offending_layer(self):
-        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4)
         with pytest.raises(InvalidConfig, match="stage3.block0"):
             model.trace_shapes(20, 20)
 
     def test_pool_input_below_filter_length_names_layer(self):
         # ch5.5 has 14 taps; the third down-sampling sees 8x8 on 32x32 input
-        model = Network(micro_schedule(), parse_pool("wavelet:ch5.5"), VARIANT_C, num_classes=4)
+        model = Network(micro_schedule(), parse_pool("wavelet:ch5.5"), "c", num_classes=4)
         for walk in (model.trace_shapes, lambda h, w: count_flops(model, h, w)):
             with pytest.raises(InvalidConfig, match=r"stage3\.block0\.conv2\.pool: input 8x8"):
                 walk(32, 32)
@@ -380,45 +382,45 @@ class TestNetwork:
 
     def test_blur_length_bounds_pool_input(self):
         # like a wavelet filter, a 5-tap blur needs inputs of at least 5x5
-        model = Network(micro_schedule(), parse_pool("blur:1-1-1-1-1"), VARIANT_C, num_classes=4)
+        model = Network(micro_schedule(), parse_pool("blur:1-1-1-1-1"), "c", num_classes=4)
         with pytest.raises(InvalidConfig, match=r"stage3\.block0\.conv2\.pool: input 4x4"):
             model.trace_shapes(16, 16)
         assert model.trace_shapes(32, 32) == (4, 4)
 
     @pytest.mark.parametrize("h, w", [(-32, -32), (0, 0), (32, 0), (-2, 32)])
     def test_non_positive_size_rejected(self, h, w):
-        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4)
         with pytest.raises(InvalidConfig, match="positive"):
             model.trace_shapes(h, w)
         with pytest.raises(InvalidConfig, match="positive"):
             count_flops(model, h, w)
 
     def test_wrong_input_shape_rejected(self, rng):
-        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4)
         with pytest.raises(ShapeMismatch):
             model(Tensor(rng.normal(size=(2, 1, 32, 32))))
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfig):
-            Network(micro_schedule(), HAAR, VARIANT_C, num_classes=1)
+            Network(micro_schedule(), HAAR, "c", num_classes=1)
         with pytest.raises(InvalidConfig):
-            Network(micro_schedule(), STRIDED, VARIANT_C, num_classes=4)
+            Network(micro_schedule(), STRIDED, "c", num_classes=4)
         with pytest.raises(InvalidConfig):
-            Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4,
+            Network(micro_schedule(), HAAR, "c", num_classes=4,
                     input_mean=(0.5, 0.5, 0.5))
         with pytest.raises(ShapeMismatch):
-            Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4,
+            Network(micro_schedule(), HAAR, "c", num_classes=4,
                     input_mean=(0.5,), input_std=(0.2,))
         for pad in ("bogus", "valid"):
             with pytest.raises(InvalidConfig):
-                Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, conv_pad=pad)
+                Network(micro_schedule(), HAAR, "c", num_classes=4, conv_pad=pad)
 
     def test_stem_sites_replaced_for_pooling_kinds(self, rng):
         # stride-2 stem conv + stem max pool both substituted when the pool
         # kind is not StridedConv; spatial bookkeeping must agree
         sched = StageSchedule(stages=((1, 8, True),), stem_channels=8, stem_kernel=3,
                               stem_stride=2, stem_pool=PoolKind("max"), expansion=2)
-        for pool, variant in ((STRIDED, VARIANT_A), (HAAR, VARIANT_C)):
+        for pool, variant in ((STRIDED, "a"), (HAAR, "c")):
             model = Network(sched, pool, variant, num_classes=4, seed=0)
             out = model(Tensor(rng.normal(size=(1, 3, 32, 32))))
             assert out.shape == (1, 4)
@@ -426,7 +428,7 @@ class TestNetwork:
             assert model.trace_shapes(32, 32) == (4, 4)
 
     def test_load_state_rejects_mismatches(self, rng):
-        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4)
         good = dict(model.state())
         missing = dict(good)
         missing.pop("stem.conv.weight")
@@ -443,19 +445,42 @@ class TestNetwork:
 
 
 class TestCheckpoints:
+    def test_micro_layout_and_parameter_walk(self):
+        def bn(name):
+            return [f"{name}.{key}" for key in ("gamma", "beta", "running_mean", "running_var")]
+
+        want = ["stem.conv.weight"] + bn("stem.bn")
+        for stage in (1, 2, 3):
+            for b in (0, 1):
+                block = f"stage{stage}.block{b}"
+                for i in (1, 2, 3):
+                    want += [f"{block}.conv{i}.weight"] + bn(f"{block}.bn{i}")
+                if b == 0:
+                    want += [f"{block}.skip_conv.weight"] + bn(f"{block}.skip_bn")
+        want += ["head.fc.weight", "head.fc.bias"]
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4)
+        state = model.state()
+        assert [name for name, _arr in state] == want and len(want) == 112
+        # parameters() is exactly the Parameter-backed state entries, in order
+        learnable = [arr for name, arr in state if not name.endswith(("_mean", "_var"))]
+        params = model.parameters()
+        assert all(isinstance(p, Parameter) for p in params)
+        assert len(params) == len(learnable)
+        assert all(p.data is arr for p, arr in zip(params, learnable))
+
     def test_round_trip_preserves_outputs(self, tmp_path, rng):
-        model = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=3)
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=3)
         x = Tensor(rng.normal(size=(2, 3, 32, 32)))
         want = model(x).data
         path = tmp_path / "model.bin"
         save_checkpoint(model, path)
-        fresh = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=99)
+        fresh = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=99)
         assert not np.allclose(fresh(x).data, want)
         load_checkpoint(fresh, path)
         assert np.array_equal(fresh(x).data, want)
 
     def test_read_checkpoint_returns_exact_tensors(self, tmp_path):
-        model = Network(micro_schedule(), MAX, VARIANT_C, num_classes=4, seed=3)
+        model = Network(micro_schedule(), MAX, "c", num_classes=4, seed=3)
         path = tmp_path / "model.bin"
         save_checkpoint(model, path)
         tensors = read_checkpoint(path)
@@ -477,7 +502,7 @@ class TestCheckpoints:
             read_checkpoint(path)
 
     def test_truncated_file_rejected(self, tmp_path):
-        model = Network(micro_schedule(), MAX, VARIANT_C, num_classes=4)
+        model = Network(micro_schedule(), MAX, "c", num_classes=4)
         path = tmp_path / "model.bin"
         save_checkpoint(model, path)
         blob = path.read_bytes()
@@ -490,7 +515,7 @@ class TestCheckpoints:
         """A small net's checkpoint bytes, and a directory to write variants to."""
         sched = StageSchedule(stages=((1, 2, True),), stem_channels=2, expansion=1)
         path = tmp_path_factory.mktemp("checkpoint") / "model.wvpk"
-        save_checkpoint(Network(sched, HAAR, VARIANT_C, num_classes=2), path)
+        save_checkpoint(Network(sched, HAAR, "c", num_classes=2), path)
         return path.parent, path.read_bytes()
 
     @settings(max_examples=50, deadline=None)
@@ -505,18 +530,18 @@ class TestCheckpoints:
                 read_checkpoint(path)
 
     def test_checkpoint_for_wrong_architecture_rejected(self, tmp_path):
-        small = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4)
+        small = Network(micro_schedule(), HAAR, "c", num_classes=4)
         path = tmp_path / "model.bin"
         save_checkpoint(small, path)
-        other = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=7)
+        other = Network(micro_schedule(), HAAR, "c", num_classes=7)
         with pytest.raises(ShapeMismatch):
             load_checkpoint(other, path)
 
     def test_pool_invariant_state_dicts(self, tmp_path):
         # pooling operators are parameter-free, so checkpoints transfer
         # between pool kinds: this is what makes KD teachers loadable
-        wave = Network(micro_schedule(), HAAR, VARIANT_C, num_classes=4, seed=1)
+        wave = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=1)
         path = tmp_path / "w.bin"
         save_checkpoint(wave, path)
-        maxp = Network(micro_schedule(), MAX, VARIANT_C, num_classes=4, seed=2)
+        maxp = Network(micro_schedule(), MAX, "c", num_classes=4, seed=2)
         load_checkpoint(maxp, path)  # must not raise

@@ -14,7 +14,7 @@ import pytest
 
 from wavepool.cli import main
 from wavepool.config import config_hash, load_config
-from wavepool.data import make_tiny_object_set, save_image_set
+from wavepool.data import LabeledImageSet, make_tiny_object_set, save_image_set
 from wavepool.filterbank import parse_wavelet
 from wavepool.imageio import read_image, write_pgm, write_ppm
 from wavepool.transforms import SubbandSet, dwt2d, idwt2d
@@ -235,6 +235,19 @@ class TestTrain:
         assert main(["train", *paths, "--jobs", "2"]) == 0
         for digest in digests:
             assert (outdir / f"metrics_{digest}.csv").exists()
+
+    def test_one_channel_file_trains_then_evaluates(self, tmp_path):
+        # the network's input channels follow the data, not a fixed RGB
+        rgb = make_tiny_object_set(20, 16, 2, 2, seed=7)
+        gray = tmp_path / "gray.wvds"
+        save_image_set(gray, LabeledImageSet(rgb.images[:, :1], rgb.labels, rgb.class_count))
+        text = tiny_config_text(tmp_path / "runs", kind="file", path=str(gray))
+        cfg_path = write_config(tmp_path / "gray.config", text)
+        assert main(["train", cfg_path]) == 0
+        digest = config_hash(load_config(cfg_path))
+        checkpoint = tmp_path / "runs" / f"run_{digest}" / "checkpoints" / "final.wvpk"
+        assert main(["eval", cfg_path, "--checkpoint", str(checkpoint)]) == 0
+        assert (tmp_path / "runs" / f"eval_{digest}.csv").exists()
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg = write_config(

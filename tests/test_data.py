@@ -158,23 +158,23 @@ class TestLabeledImageSet:
     def test_invariants_enforced(self):
         good = np.zeros((2, 3, 4, 4))
         with pytest.raises(InvalidConfig):
-            LabeledImageSet(np.zeros((0, 3, 4, 4)), np.zeros(0, int), 2, "train")
+            LabeledImageSet(np.zeros((0, 3, 4, 4)), np.zeros(0, int), 2)
         with pytest.raises(InvalidConfig):
-            LabeledImageSet(np.zeros((2, 3, 5, 4)), np.zeros(2, int), 2, "train")
+            LabeledImageSet(np.zeros((2, 3, 5, 4)), np.zeros(2, int), 2)
         with pytest.raises(InvalidConfig):
-            LabeledImageSet(good, np.array([0, 2]), 2, "train")  # label out of range
+            LabeledImageSet(good, np.array([0, 2]), 2)  # label out of range
         with pytest.raises(InvalidConfig):
-            LabeledImageSet(good, np.zeros(3, int), 2, "train")  # length mismatch
+            LabeledImageSet(good, np.zeros(3, int), 2)  # length mismatch
         with pytest.raises(InvalidConfig):
-            LabeledImageSet(good, np.zeros(2, int), 1, "train")  # single class
+            LabeledImageSet(good, np.zeros(2, int), 1)  # single class
         with pytest.raises(InvalidConfig):
-            LabeledImageSet(np.zeros((2, 3, 4)), np.zeros(2, int), 2, "train")
+            LabeledImageSet(np.zeros((2, 3, 4)), np.zeros(2, int), 2)
 
     def test_channel_stats(self):
         images = np.zeros((2, 3, 2, 2))
         images[:, 0] = 0.5          # constant channel: std floored
         images[0, 1] = 1.0          # half ones: mean 0.5, std 0.5
-        data = LabeledImageSet(images, np.array([0, 1]), 2, "train")
+        data = LabeledImageSet(images, np.array([0, 1]), 2)
         mean, std = data.channel_stats()
         assert mean[0] == pytest.approx(0.5)
         assert std[0] == pytest.approx(1e-8)
@@ -187,7 +187,7 @@ class TestImageSetFormat:
         data = make_tiny_object_set(7, image_size=16, object_size=2, classes=3, seed=1)
         path = tmp_path / "set.wvds"
         save_image_set(path, data)
-        back = load_image_set(path, "train")
+        back = load_image_set(path)
         assert np.array_equal(back.images, data.images)
         assert np.array_equal(back.labels, data.labels)
         assert back.class_count == data.class_count

@@ -6,7 +6,7 @@ import pytest
 from _gradcheck import gradcheck
 from wavepool import pooling
 from wavepool.autodiff import Tensor, make_rng
-from wavepool.backbone import Block, Network, StageSchedule, _run, micro_schedule, parse_variant
+from wavepool.backbone import Block, Network, StageSchedule, _run, micro_schedule
 from wavepool.errors import (
     InputTooShort,
     InvalidHyperparameter,
@@ -305,7 +305,7 @@ class TestPoolOp:
     def test_circular_network_is_full_stride_shift_equivariant(self, rng, kind):
         # three 2x down-samplings: an (8, 8) circular shift of the input is
         # a (1, 1) shift of the head's map, which global pooling ignores
-        variant = parse_variant("a" if kind.family == "strided" else "c")
+        variant = "a" if kind.family == "strided" else "c"
         model = Network(micro_schedule(), kind, variant, num_classes=3, seed=0,
                         conv_pad="circular")
         x = rng.normal(size=(2, 3, 64, 64))
@@ -328,11 +328,11 @@ class TestPoolOp:
         monkeypatch.setattr(pooling, "wavelet_pool", recording(wavelet_pool))
         sched = StageSchedule(stages=((1, 2, True),), stem_channels=2,
                               stem_pool=PoolKind("max"), expansion=1)
-        model = Network(sched, parse_pool("strided"), parse_variant("a"), num_classes=2)
+        model = Network(sched, parse_pool("strided"), "a", num_classes=2)
         model(Tensor(rng.normal(size=(1, 3, 8, 8))))
         assert calls == ["max_pool2"]
         calls.clear()
-        model = Network(sched, parse_pool("wavelet:haar"), parse_variant("c"), num_classes=2)
+        model = Network(sched, parse_pool("wavelet:haar"), "c", num_classes=2)
         model(Tensor(rng.normal(size=(1, 3, 8, 8))))
         assert calls == ["wavelet_pool"] * 3  # stem site, main path, skip path
 
@@ -343,7 +343,7 @@ class TestApplyReplacement:
     def test_max_site_replacement_is_bare_pool(self, rng):
         sched = StageSchedule(stages=((1, 2, False),), stem_channels=2,
                               stem_pool=PoolKind("max"), expansion=1)
-        model = Network(sched, parse_pool("wavelet:haar"), parse_variant("c"),
+        model = Network(sched, parse_pool("wavelet:haar"), "c",
                         num_classes=2)
         site = model.layers[3]  # after the stem conv, bn and relu
         assert site.name == "stem.pool" and model.layers[4] is model.blocks[0]
@@ -353,9 +353,9 @@ class TestApplyReplacement:
         assert np.allclose(out.data, wavelet_pool(x, parse_wavelet("haar")).data)
 
     def test_strided_site_keeps_same_weights_as_stride1_then_pool(self, rng):
-        wave = Block("b", 2, 4, True, parse_pool("wavelet:haar"), parse_variant("c"), 1,
+        wave = Block("b", 2, 4, True, parse_pool("wavelet:haar"), "c", 1,
                      "circular", make_rng(0))
-        strided = Block("b", 2, 4, True, parse_pool("strided"), parse_variant("a"), 1,
+        strided = Block("b", 2, 4, True, parse_pool("strided"), "a", 1,
                         "circular", make_rng(0))
         assert np.array_equal(wave.conv2.weight.data, strided.conv2.weight.data)
         conv, pool = wave.main[3:5]
@@ -369,8 +369,8 @@ class TestApplyReplacement:
         # 1x1 convs mix channels only; linear per-channel spatial pooling
         # commutes with them, so pool-then-conv equals conv-then-pool
         db2 = parse_pool("wavelet:db2")
-        after = Block("b", 3, 5, True, db2, parse_variant("c"), 1, "same", make_rng(0))
-        before = Block("b", 3, 5, True, db2, parse_variant("b"), 1, "same", make_rng(0))
+        after = Block("b", 3, 5, True, db2, "c", 1, "same", make_rng(0))
+        before = Block("b", 3, 5, True, db2, "b", 1, "same", make_rng(0))
         x = Tensor(rng.normal(size=(1, 3, 8, 8)))
         conv_then_pool = _run(after.skip[:2], x, training=False)
         pool_then_conv = _run(before.skip[:2], x, training=False)
@@ -379,7 +379,7 @@ class TestApplyReplacement:
 
     def test_strided_kind_reproduces_stride2_conv(self, rng):
         sched = StageSchedule(stages=((1, 2, False),), stem_channels=4, stem_stride=2)
-        model = Network(sched, PoolKind("strided"), parse_variant("a"),
+        model = Network(sched, PoolKind("strided"), "a",
                         num_classes=2, conv_pad="same")
         conv, after = model.layers[:2]
         assert after.name == "stem.bn"  # no pool follows the conv
