@@ -24,7 +24,8 @@ def main():
     for name in NAMES:
         spec = parse_wavelet(name)
         report = check_biorthogonality(spec)
-        print(f"\n{name}  ({spec.family.value}, {spec.analysis_low.size} analysis taps)")
+        family = "orthogonal" if spec.orthogonal else "biorthogonal"
+        print(f"\n{name}  ({family}, {spec.analysis_low.size} analysis taps)")
         print(f"  analysis low   {show(spec.analysis_low)}")
         print(f"  analysis high  {show(spec.analysis_high)}")
         if spec.synthesis_low.size != spec.analysis_low.size:

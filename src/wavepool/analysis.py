@@ -28,7 +28,7 @@ from .config import ExperimentConfig, config_hash, serialize_config
 from .data import LabeledImageSet, load_cifar100, load_image_set, make_tiny_object_set
 from .errors import InputTooLarge, InvalidConfig, MissingArtifact
 from .ops import kd_loss, softmax_cross_entropy
-from .optim import cosine_lr, sgd_step, step_decay, zero_grads
+from .optim import LR_SCHEDULES, sgd_step, zero_grads
 from .pooling import PoolKind, parse_pool
 
 
@@ -273,7 +273,7 @@ def load_dataset(cfg: ExperimentConfig, split: str, data_dir: str = "") -> Label
 def build_model_from_config(cfg: ExperimentConfig, num_classes: int,
                             train_set: LabeledImageSet | None = None,
                             pool: str | None = None) -> bb.Network:
-    schedule = bb.micro_schedule() if cfg.model.schedule == "micro" else bb.resnet50_schedule()
+    schedule = bb.SCHEDULES[cfg.model.schedule]()
     if cfg.model.bottom_heavy_shift:
         schedule = bb.bottom_heavy(schedule, cfg.model.bottom_heavy_shift)
     data = {}
@@ -292,13 +292,7 @@ def build_model_from_config(cfg: ExperimentConfig, num_classes: int,
 
 
 def _epoch_lr(cfg: ExperimentConfig, epoch: int) -> float:
-    t = cfg.train
-    if t.lr_schedule == "step":
-        return step_decay(t.lr, cfg.milestone_list(), epoch, t.factor)
-    if t.lr_schedule == "cosine":
-        period = t.period if t.period > 0 else t.epochs
-        return cosine_lr(t.lr, t.lr_min, period, epoch)
-    return t.lr
+    return LR_SCHEDULES[cfg.train.lr_schedule](cfg.train, epoch)
 
 
 def evaluate(model, dataset: LabeledImageSet, batch_size: int = 100):

@@ -52,7 +52,7 @@ import numpy as np
 
 from .autodiff import Parameter, Tensor, make_rng
 from .errors import InvalidConfig, ShapeMismatch, UnsupportedFormat
-from .ops import batchnorm2d, conv2d, global_avg_pool, linear, relu
+from .ops import PAD_MODES, batchnorm2d, conv2d, global_avg_pool, linear, relu
 from .pooling import PoolKind
 
 CHECKPOINT_MAGIC = b"WVPK"
@@ -119,6 +119,10 @@ def resnet50_schedule() -> StageSchedule:
         stem_pool=PoolKind("max"),
         expansion=4,
     )
+
+
+# the layout builder behind each config ``schedule`` name
+SCHEDULES = {"micro": micro_schedule, "resnet50": resnet50_schedule}
 
 
 def bottom_heavy(schedule: StageSchedule, shift: int = 2) -> StageSchedule:
@@ -412,8 +416,8 @@ class Network:
                  input_mean=None, input_std=None, in_channels: int = 3):
         if num_classes < 2:
             raise InvalidConfig(f"num_classes must be >= 2, got {num_classes}")
-        if conv_pad not in ("circular", "same"):
-            raise InvalidConfig(f"conv_pad must be 'circular' or 'same', got {conv_pad!r}")
+        if conv_pad not in PAD_MODES:
+            raise InvalidConfig(f"conv_pad must be one of {PAD_MODES}, got {conv_pad!r}")
         self.in_channels = in_channels
         if (input_mean is None) != (input_std is None):
             raise InvalidConfig("input_mean and input_std must be given together")

@@ -3,7 +3,9 @@
 A config file is line-oriented: ``[section]`` headers, ``key = value``
 pairs, blank lines and ``#`` comments ignored.  Unknown sections or keys
 are rejected rather than silently dropped, so a typo cannot quietly change
-an experiment.  ``serialize_config(parse_config(text))`` is the identity on
+an experiment; so are non-finite floats, pool strings that do not parse,
+and choices missing from the table of the module that owns them (named
+below).  ``serialize_config(parse_config(text))`` is the identity on
 canonical form, and the canonical text is what gets hashed into output
 file names, so a config hash pins the exact experiment.
 
@@ -17,16 +19,16 @@ Sections and keys (defaults in parentheses):
   image_size (32)  object_size (6)  classes (4)
 
 [model]
-  schedule (micro) | resnet50
+  schedule (micro)                          backbone.SCHEDULES
   pool (wavelet:haar)                       see pooling.parse_pool
-  variant (c)                               a | b | c
+  variant (c)                               backbone.VARIANTS
   bottom_heavy_shift (0)
-  conv_pad (circular) | same
+  conv_pad (circular)                       ops.PAD_MODES
 
 [train]
   epochs (10)  batch_size (50)
   lr (0.05)  momentum (0.9)  weight_decay (0.0)
-  lr_schedule (constant) | step | cosine
+  lr_schedule (constant)                    optim.LR_SCHEDULES
   milestones ()                             comma ints, step schedule
   factor (0.1)  lr_min (0.0)  period (0)    period 0: one cosine arc
   mode (plain) | kd
@@ -40,9 +42,14 @@ Sections and keys (defaults in parentheses):
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
-from .errors import InvalidConfig
+from .backbone import SCHEDULES, VARIANTS
+from .errors import InvalidConfig, InvalidHyperparameter, UnsupportedWavelet
+from .ops import PAD_MODES
+from .optim import LR_SCHEDULES
+from .pooling import parse_pool
 
 
 @dataclass
@@ -84,6 +91,15 @@ class TrainConfig:
     temperature: float = 4.0
     seed: int = 0
 
+    def milestone_list(self) -> list[int]:
+        text = self.milestones.strip()
+        if not text:
+            return []
+        try:
+            return [int(tok) for tok in text.split(",")]
+        except ValueError:
+            raise InvalidConfig(f"bad milestones list: {self.milestones!r}") from None
+
 
 @dataclass
 class OutputConfig:
@@ -97,15 +113,6 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
-    def milestone_list(self) -> list[int]:
-        text = self.train.milestones.strip()
-        if not text:
-            return []
-        try:
-            return [int(tok) for tok in text.split(",")]
-        except ValueError:
-            raise InvalidConfig(f"bad milestones list: {self.train.milestones!r}") from None
-
 
 _SECTIONS = {
     "dataset": DatasetConfig,
@@ -116,10 +123,10 @@ _SECTIONS = {
 
 _CHOICES = {
     ("dataset", "kind"): ("synthetic", "cifar100", "file"),
-    ("model", "schedule"): ("micro", "resnet50"),
-    ("model", "variant"): ("a", "b", "c"),
-    ("model", "conv_pad"): ("circular", "same"),
-    ("train", "lr_schedule"): ("constant", "step", "cosine"),
+    ("model", "schedule"): SCHEDULES,
+    ("model", "variant"): VARIANTS,
+    ("model", "conv_pad"): PAD_MODES,
+    ("train", "lr_schedule"): LR_SCHEDULES,
     ("train", "mode"): ("plain", "kd"),
 }
 
@@ -134,9 +141,11 @@ def _coerce(section: str, key: str, raw: str, target_type):
             value = raw
     except ValueError:
         raise InvalidConfig(f"[{section}] {key}: cannot parse {raw!r}") from None
+    if target_type is float and not math.isfinite(value):
+        raise InvalidConfig(f"[{section}] {key}: {raw!r} is not a finite number")
     choices = _CHOICES.get((section, key))
     if choices and value not in choices:
-        raise InvalidConfig(f"[{section}] {key}: {value!r} not one of {choices}")
+        raise InvalidConfig(f"[{section}] {key}: {value!r} not one of {tuple(choices)}")
     return value
 
 
@@ -175,11 +184,18 @@ def _validate(cfg: ExperimentConfig) -> None:
     t = cfg.train
     if t.epochs < 1 or t.batch_size < 1:
         raise InvalidConfig("epochs and batch_size must be >= 1")
+    if t.seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {t.seed}")
     if t.mode == "kd" and not t.teacher:
         raise InvalidConfig("kd mode requires a teacher checkpoint path")
     if cfg.dataset.kind in ("cifar100", "file") and not cfg.dataset.path:
         raise InvalidConfig(f"dataset kind {cfg.dataset.kind!r} requires a path")
-    cfg.milestone_list()
+    t.milestone_list()
+    for key, text in (("[model] pool", cfg.model.pool), ("[train] teacher_pool", t.teacher_pool)):
+        try:
+            parse_pool(text)
+        except (InvalidHyperparameter, UnsupportedWavelet) as exc:
+            raise InvalidConfig(f"{key}: {exc}") from None
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -52,8 +52,8 @@ class LabeledImageSet:
         if self.images.ndim != 4:
             raise InvalidConfig(f"images must be N x C x H x W, got {self.images.shape}")
         n, _c, h, w = self.images.shape
-        if n == 0:
-            raise InvalidConfig("empty image set refused")
+        if self.images.size == 0:
+            raise InvalidConfig(f"empty image set refused: shape {self.images.shape}")
         if h % 2 or w % 2:
             raise InvalidConfig(f"image dims must be even, got {h}x{w}")
         if self.labels.shape != (n,):

@@ -24,7 +24,6 @@ double for Daubechies) and are re-validated by the test suite through
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -36,21 +35,16 @@ _SQRT2 = math.sqrt(2.0)
 _INVSQRT2 = 1.0 / math.sqrt(2.0)
 
 
-class Family(enum.Enum):
-    ORTHOGONAL = "orthogonal"
-    BIORTHOGONAL = "biorthogonal"
-
-
 @dataclass(frozen=True, eq=False)
 class WaveletSpec:
-    """A named wavelet: four filter coefficient vectors plus family tag."""
+    """A named wavelet: four filter coefficient vectors.  Every shipped spec
+    is one object, so specs compare by identity."""
 
     name: str
     analysis_low: np.ndarray
     analysis_high: np.ndarray
     synthesis_low: np.ndarray
     synthesis_high: np.ndarray
-    family: Family
 
     def __post_init__(self):
         for attr in ("analysis_low", "analysis_high", "synthesis_low", "synthesis_high"):
@@ -62,20 +56,10 @@ class WaveletSpec:
             arr.flags.writeable = False
             object.__setattr__(self, attr, arr)
 
-    def __eq__(self, other):
-        if not isinstance(other, WaveletSpec):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.family is other.family
-            and all(
-                np.array_equal(getattr(self, a), getattr(other, a))
-                for a in ("analysis_low", "analysis_high", "synthesis_low", "synthesis_high")
-            )
-        )
-
-    def __hash__(self):
-        return hash((self.name, self.family))
+    @property
+    def orthogonal(self) -> bool:
+        """Synthesis runs the analysis filters (otherwise a biorthogonal pair)."""
+        return np.array_equal(self.analysis_low, self.synthesis_low)
 
     @property
     def max_length(self) -> int:
@@ -114,7 +98,7 @@ def _qmf(low_dual: np.ndarray) -> np.ndarray:
     return signs * low_dual[::-1]
 
 
-def _spec(name, analysis_low, synthesis_low=None, family=Family.ORTHOGONAL):
+def _spec(name, analysis_low, synthesis_low=None):
     l = np.asarray(analysis_low, dtype=np.float64)
     lt = l if synthesis_low is None else np.asarray(synthesis_low, dtype=np.float64)
     return WaveletSpec(
@@ -123,7 +107,6 @@ def _spec(name, analysis_low, synthesis_low=None, family=Family.ORTHOGONAL):
         analysis_high=_qmf(lt),
         synthesis_low=lt,
         synthesis_high=_qmf(l),
-        family=family,
     )
 
 
@@ -218,8 +201,7 @@ _WAVELETS = {
         _spec("haar", _DB_LOW[1]),
         *(_spec(f"db{k}", low) for k, low in _DB_LOW.items()),
         _spec("ch1.1", _DB_LOW[1]),
-        *(_spec(f"ch{k}.{k_dual}", ana, syn, family=Family.BIORTHOGONAL)
-          for (k, k_dual), (ana, syn) in _COHEN.items()),
+        *(_spec(f"ch{k}.{k_dual}", ana, syn) for (k, k_dual), (ana, syn) in _COHEN.items()),
     ]
 }
 

@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import as_strided
 from .autodiff import Tensor, make_op
 from .errors import InputTooShort, InvalidHyperparameter, OddLengthInput, ShapeMismatch
 
-PAD_MODES = ("same", "circular")
+PAD_MODES = ("circular", "same")
 BN_MOMENTUM = 0.1  # weight of the batch statistics in the running averages
 BN_EPS = 1e-5
 
@@ -40,7 +40,7 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def conv2d(x, w, b=None, stride: int = 1, pad: str = "same") -> Tensor:
+def conv2d(x, w, b=None, stride: int = 1, *, pad: str) -> Tensor:
     """2D cross-correlation with optional bias.
 
     Parameters
@@ -49,7 +49,7 @@ def conv2d(x, w, b=None, stride: int = 1, pad: str = "same") -> Tensor:
     w : Tensor, shape (F, C, kh, kw)
     b : Tensor of shape (F,), optional
     stride : 1 or 2
-    pad : "same" or "circular"
+    pad : one of ``PAD_MODES``
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim != 4 or w.ndim != 4:
@@ -220,28 +220,21 @@ def relu(x) -> Tensor:
     return make_op(np.where(mask, x.data, 0.0), (x,), backward_fn)
 
 
-def linear(x, w, b=None) -> Tensor:
+def linear(x, w, b) -> Tensor:
     """Affine map: out = x @ w.T + b, with w of shape (out, in)."""
-    x, w = _as_tensor(x), _as_tensor(w)
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeMismatch(f"linear: {x.shape} incompatible with weight {w.shape}")
-    if b is not None:
-        b = _as_tensor(b)
-        if b.shape != (w.shape[0],):
-            raise ShapeMismatch(f"linear: bias shape {b.shape} != ({w.shape[0]},)")
-    out = x.data @ w.data.T
-    if b is not None:
-        out = out + b.data[None, :]
+    if b.shape != (w.shape[0],):
+        raise ShapeMismatch(f"linear: bias shape {b.shape} != ({w.shape[0]},)")
+    out = x.data @ w.data.T + b.data[None, :]
 
     def backward_fn(g):
         dx = g @ w.data if x.requires_grad else None
         dw = g.T @ x.data if w.requires_grad else None
-        if b is None:
-            return (dx, dw)
         return (dx, dw, g.sum(axis=0) if b.requires_grad else None)
 
-    parents = (x, w) if b is None else (x, w, b)
-    return make_op(out, parents, backward_fn)
+    return make_op(out, (x, w, b), backward_fn)
 
 
 def global_avg_pool(x) -> Tensor:

@@ -8,6 +8,8 @@
 ``step_decay`` multiplies the base rate by ``factor`` once per milestone
 already reached; ``cosine_lr`` sweeps a half cosine from ``lr_max`` down to
 ``lr_min`` over each period, restarting at every period boundary.
+``LR_SCHEDULES`` maps each config ``lr_schedule`` name to the rate it gives
+a ``[train]`` section at an epoch.
 """
 
 from __future__ import annotations
@@ -66,3 +68,11 @@ def cosine_lr(lr_max: float, lr_min: float, period: int, epoch: int) -> float:
         raise InvalidHyperparameter(f"lr_min {lr_min} exceeds lr_max {lr_max}")
     phase = (epoch % period) / period
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * phase))
+
+
+LR_SCHEDULES = {
+    "constant": lambda t, epoch: t.lr,
+    "step": lambda t, epoch: step_decay(t.lr, t.milestone_list(), epoch, t.factor),
+    "cosine": lambda t, epoch: cosine_lr(
+        t.lr, t.lr_min, t.period if t.period > 0 else t.epochs, epoch),
+}

@@ -119,7 +119,7 @@ def test_criterion_03_gradient_correctness():
     rng = make_rng(33)
 
     gradcheck(
-        conv2d,
+        lambda x, w, b: conv2d(x, w, b, pad="same"),
         rng.normal(size=(2, 3, 6, 6)),
         rng.normal(size=(4, 3, 3, 3)),
         rng.normal(size=4),
@@ -227,8 +227,8 @@ def test_criterion_05_skip_order_commutation():
     for _ in range(100):
         x = Tensor(rng.normal(size=(1, 4, 8, 8)))
         w = Tensor(rng.normal(size=(6, 4, 1, 1)))
-        conv_then_pool = wavelet_pool(conv2d(x, w, None), spec).data
-        pool_then_conv = conv2d(wavelet_pool(x, spec), w, None).data
+        conv_then_pool = wavelet_pool(conv2d(x, w, pad="same"), spec).data
+        pool_then_conv = conv2d(wavelet_pool(x, spec), w, pad="same").data
         worst = max(worst, float(np.max(np.abs(conv_then_pool - pool_then_conv))))
     assert worst <= 1e-10, f"worst disagreement {worst:.3e}"
 

@@ -38,6 +38,7 @@ class TestTensorBasics:
 
 
 W = np.array([[1.0, 2.0], [-3.0, 0.5]])
+NO_BIAS = np.zeros(2)
 SEED = np.array([[1.0, -2.0]])
 
 
@@ -45,7 +46,7 @@ class TestArithmeticGradients:
     def test_add_mul_chain(self):
         a = Tensor([[2.0, 3.0]], requires_grad=True)
         b = Tensor([[4.0, -5.0]], requires_grad=True)
-        (linear(a + b, Tensor(W)) + a).backward(SEED)
+        (linear(a + b, Tensor(W), Tensor(NO_BIAS)) + a).backward(SEED)
         # y = (a + b) W^T + a, so dy/da = g W + g and dy/db = g W
         assert np.allclose(a.grad, SEED @ W + SEED)
         assert np.allclose(b.grad, SEED @ W)
@@ -58,7 +59,7 @@ class TestArithmeticGradients:
     def test_diamond_graph(self):
         a = Tensor([[1.0, -2.0]], requires_grad=True)
         left = relu(a)
-        right = linear(a, Tensor(W))
+        right = linear(a, Tensor(W), Tensor(NO_BIAS))
         (left + right).backward(SEED)
         assert np.allclose(a.grad, SEED * [1.0, 0.0] + SEED @ W)
 

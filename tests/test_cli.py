@@ -8,6 +8,7 @@ exit with code 2 and a message on standard error.
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -260,6 +261,22 @@ class TestTrain:
         assert main(["train", str(tmp_path / "none.config")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c, h, w", [(0, 16, 16), (3, 0, 0)])
+    def test_empty_axis_file_exits_2(self, tmp_path, capsys, c, h, w):
+        path = tmp_path / "empty.wvds"
+        path.write_bytes(b"WVDS" + struct.pack("<6I", 1, 2, c, h, w, 2)
+                         + np.array([0, 1], dtype="<u4").tobytes())
+        text = tiny_config_text(tmp_path / "runs", kind="file", path=str(path))
+        assert main(["train", write_config(tmp_path / "empty.config", text)]) == 2
+        assert "empty image set refused" in capsys.readouterr().err
+
+    def test_non_finite_lr_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "nan.config", tiny_config_text(tmp_path / "runs",
+                                                                          lr="nan"))
+        assert main(["train", cfg_path]) == 2
+        assert "not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
 
 class TestEval:
     def test_eval_writes_report(self, trained_run):
@@ -361,6 +378,13 @@ class TestCount:
             assert main(["count", cfg_path, "--height", size, "--width", size]) == 2
             assert "positive" in capsys.readouterr().err
             assert not (tmp_path / "runs").exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "seed.config",
+                                tiny_config_text(tmp_path / "runs", seed=-1))
+        assert main(["count", cfg_path]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_pool_input_below_filter_length_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(

@@ -1,9 +1,16 @@
 """Config parsing/serialization and PGM/PPM image files."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from wavepool import backbone, ops, optim
+from wavepool.analysis import build_model_from_config
+from wavepool.autodiff import no_grad
 from wavepool.config import (
+    _CHOICES,
+    _SECTIONS,
     ExperimentConfig,
     config_hash,
     load_config,
@@ -96,11 +103,67 @@ class TestParsing:
             parse_config("[dataset]\nkind = cifar100\n")  # path required
         with pytest.raises(InvalidConfig):
             parse_config("[train]\nmilestones = 1,x\n")
+        with pytest.raises(InvalidConfig, match="seed"):
+            parse_config("[train]\nseed = -1\n")
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key", [
+        (section, f.name) for section, klass in _SECTIONS.items() for f in fields(klass)
+        if type(getattr(klass(), f.name)) is float
+    ])
+    def test_non_finite_floats_rejected(self, section, key, raw):
+        with pytest.raises(InvalidConfig, match=f"{key}: '{raw}' is not a finite number"):
+            parse_config(f"[{section}]\n{key} = {raw}\n")
+
+    @pytest.mark.parametrize("text", [
+        "[model]\npool = wavelet:db9\n",
+        "[model]\npool = blur:1-x-1\n",
+        "[train]\nteacher_pool = maxx\n",
+    ])
+    def test_pool_strings_checked_at_parse_time(self, text):
+        key = text.split("\n")[1].partition(" =")[0]
+        with pytest.raises(InvalidConfig, match=key):
+            parse_config(text)
 
     def test_milestone_list(self):
         cfg = parse_config("[train]\nmilestones = 100,150\n")
-        assert cfg.milestone_list() == [100, 150]
-        assert ExperimentConfig().milestone_list() == []
+        assert cfg.train.milestone_list() == [100, 150]
+        assert ExperimentConfig().train.milestone_list() == []
+
+
+class TestChoiceTables:
+    """Each config choice a module owns is that module's table itself."""
+
+    def test_choices_are_the_owners_tables(self):
+        assert _CHOICES[("model", "schedule")] is backbone.SCHEDULES
+        assert _CHOICES[("model", "variant")] is backbone.VARIANTS
+        assert _CHOICES[("model", "conv_pad")] is ops.PAD_MODES
+        assert _CHOICES[("train", "lr_schedule")] is optim.LR_SCHEDULES
+        assert ops.PAD_MODES[0] == ExperimentConfig().model.conv_pad
+
+    def test_unknown_choice_names_the_table(self):
+        with pytest.raises(InvalidConfig, match=r"\('micro', 'resnet50'\)"):
+            parse_config("[model]\nschedule = resnet18\n")
+
+    @pytest.mark.parametrize("schedule", list(backbone.SCHEDULES))
+    def test_every_schedule_builds(self, schedule):
+        cfg = parse_config(f"[model]\nschedule = {schedule}\n")
+        model = build_model_from_config(cfg, num_classes=4)
+        assert backbone.count_params(model) > 0
+
+    @pytest.mark.parametrize("variant", backbone.VARIANTS)
+    @pytest.mark.parametrize("pad", ops.PAD_MODES)
+    def test_every_variant_and_pad_runs(self, variant, pad):
+        cfg = parse_config(f"[model]\nvariant = {variant}\nconv_pad = {pad}\n")
+        model = build_model_from_config(cfg, num_classes=4)
+        with no_grad():
+            logits = model.forward(np.random.default_rng(0).uniform(size=(2, 3, 16, 16)))
+        assert logits.shape == (2, 4) and np.all(np.isfinite(logits.data))
+
+    @pytest.mark.parametrize("name", list(optim.LR_SCHEDULES))
+    def test_every_lr_schedule_starts_at_lr(self, name):
+        cfg = parse_config(f"[train]\nlr_schedule = {name}\nlr = 0.03\nmilestones = 2\n")
+        assert optim.LR_SCHEDULES[name](cfg.train, 0) == cfg.train.lr == 0.03
 
 
 class TestSerialization:

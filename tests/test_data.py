@@ -226,3 +226,12 @@ class TestImageSetFormat:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(DatasetNotFound):
             load_image_set(tmp_path / "gone.wvds")
+
+    @pytest.mark.parametrize("c, h, w", [(0, 4, 4), (3, 0, 0)])
+    def test_empty_axis_refused(self, tmp_path, c, h, w):
+        # two labels and no pixels: the header is valid, the set is empty
+        path = tmp_path / "empty.wvds"
+        path.write_bytes(IMAGESET_MAGIC + struct.pack("<6I", 1, 2, c, h, w, 2)
+                         + np.array([0, 1], dtype="<u4").tobytes())
+        with pytest.raises(InvalidConfig, match=f"shape \\(2, {c}, {h}, {w}\\)"):
+            load_image_set(path)

@@ -5,7 +5,6 @@ import pytest
 
 from wavepool.errors import UnsupportedWavelet
 from wavepool.filterbank import (
-    Family,
     WaveletSpec,
     check_biorthogonality,
     parse_wavelet,
@@ -35,7 +34,7 @@ class TestHaar:
 
     def test_family_orthogonal_and_filters_shared(self):
         spec = parse_wavelet("haar")
-        assert spec.family is Family.ORTHOGONAL
+        assert spec.orthogonal
         np.testing.assert_array_equal(spec.analysis_low, spec.synthesis_low)
         np.testing.assert_array_equal(spec.analysis_high, spec.synthesis_high)
 
@@ -78,13 +77,13 @@ class TestCohen:
         a, b = parse_wavelet("ch1.1"), parse_wavelet("haar")
         np.testing.assert_array_equal(a.analysis_low, b.analysis_low)
         np.testing.assert_array_equal(a.analysis_high, b.analysis_high)
-        assert a.family is Family.ORTHOGONAL
+        assert a.orthogonal
 
     def test_ch33_lengths(self):
         spec = parse_wavelet("ch3.3")
         assert spec.analysis_low.size == 8
         assert spec.synthesis_low.size == 4
-        assert spec.family is Family.BIORTHOGONAL
+        assert not spec.orthogonal
 
     def test_ch55_lengths_even(self):
         spec = parse_wavelet("ch5.5")
@@ -142,7 +141,6 @@ class TestBiorthogonality:
             analysis_high=good.analysis_low,
             synthesis_low=good.synthesis_low,
             synthesis_high=good.synthesis_low,
-            family=Family.ORTHOGONAL,
         )
         assert check_biorthogonality(bad).max_residual >= 1.0 - 1e-9
 
@@ -188,5 +186,4 @@ class TestImmutability:
                 analysis_high=np.ones(3),
                 synthesis_low=np.ones(3),
                 synthesis_high=np.ones(3),
-                family=Family.ORTHOGONAL,
             )

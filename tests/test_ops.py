@@ -64,21 +64,21 @@ class TestConv2dForward:
         x = rng.normal(size=(1, 1, 4, 4))
         w = np.zeros((2, 1, 1, 1))
         b = np.array([3.0, -1.0])
-        out = conv2d(Tensor(x), Tensor(w), Tensor(b))
+        out = conv2d(Tensor(x), Tensor(w), Tensor(b), pad="same")
         assert np.allclose(out.data[0, 0], 3.0) and np.allclose(out.data[0, 1], -1.0)
 
     def test_errors(self, rng):
         x = Tensor(rng.normal(size=(1, 2, 6, 6)))
         w = Tensor(rng.normal(size=(3, 2, 3, 3)))
         with pytest.raises(ShapeMismatch):
-            conv2d(Tensor(rng.normal(size=(1, 5, 6, 6))), w)
+            conv2d(Tensor(rng.normal(size=(1, 5, 6, 6))), w, pad="same")
         with pytest.raises(InvalidHyperparameter):
-            conv2d(x, w, stride=3)
+            conv2d(x, w, stride=3, pad="same")
         for pad in ("reflect", "valid"):
             with pytest.raises(InvalidHyperparameter):
                 conv2d(x, w, pad=pad)
         with pytest.raises(OddLengthInput):
-            conv2d(Tensor(rng.normal(size=(1, 2, 5, 6))), w, stride=2)
+            conv2d(Tensor(rng.normal(size=(1, 2, 5, 6))), w, stride=2, pad="same")
         with pytest.raises(InvalidHyperparameter):
             conv2d(x, Tensor(rng.normal(size=(3, 2, 2, 2))), pad="same")
 
@@ -122,7 +122,7 @@ class TestConv2dGradients:
     def test_fd_1x1(self, rng):
         x = rng.normal(size=(2, 3, 4, 4))
         w = rng.normal(size=(2, 3, 1, 1))
-        gradcheck(conv2d, x, w, rng=rng)
+        gradcheck(lambda xt, wt: conv2d(xt, wt, pad="same"), x, w, rng=rng)
 
 
 def _reference_conv(x, w, stride, pad):
@@ -306,7 +306,11 @@ class TestPointwiseAndHead:
 
     def test_linear_shape_errors(self, rng):
         with pytest.raises(ShapeMismatch):
-            linear(Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=(4, 7))))
+            linear(Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=(4, 7))),
+                   Tensor(rng.normal(size=4)))
+        with pytest.raises(ShapeMismatch):
+            linear(Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=(4, 3))),
+                   Tensor(rng.normal(size=3)))
 
     def test_global_avg_pool(self, rng):
         x = rng.normal(size=(2, 3, 4, 6))
