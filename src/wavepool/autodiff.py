@@ -153,9 +153,15 @@ def _toposort(root: Tensor):
     return order
 
 
+def is_recorded(parents) -> bool:
+    """Whether an op on ``parents`` records a tape node: gradients are on
+    and some parent requires gradient."""
+    return _recording and any(p.requires_grad for p in parents)
+
+
 def make_op(data, parents, backward_fn) -> Tensor:
     """Create an op output, recording the tape node when gradients are on."""
-    if _recording and any(p.requires_grad for p in parents):
+    if is_recorded(parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward_fn)
     return Tensor(data)
 

@@ -4,10 +4,13 @@ A config file is line-oriented: ``[section]`` headers, ``key = value``
 pairs, blank lines and ``#`` comments ignored.  Unknown sections or keys
 are rejected rather than silently dropped, so a typo cannot quietly change
 an experiment; so are non-finite floats, pool strings that do not parse,
-and choices missing from the table of the module that owns them (named
-below).  ``serialize_config(parse_config(text))`` is the identity on
-canonical form, and the canonical text is what gets hashed into output
-file names, so a config hash pins the exact experiment.
+choices missing from the table of the module that owns them (named below),
+and ``[train]`` values the run would refuse only once its data is read
+(a negative lr or period, lr_min above lr under cosine, a non-positive
+step factor, a kd alpha outside [0, 1] or a non-positive temperature).
+``serialize_config(parse_config(text))`` is the identity on canonical
+form, and the canonical text is what gets hashed into output file names,
+so a config hash pins the exact experiment.
 
 Sections and keys (defaults in parentheses):
 
@@ -188,6 +191,21 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise InvalidConfig(f"seed must be >= 0, got {t.seed}")
     if t.mode == "kd" and not t.teacher:
         raise InvalidConfig("kd mode requires a teacher checkpoint path")
+    # refused here rather than by optim or kd_loss once both splits are read
+    for bad, what in (
+        (t.lr < 0, f"lr must be >= 0, got {t.lr}"),
+        (t.period < 0, f"period must be >= 0 (0: one arc), got {t.period}"),
+        (t.lr_schedule == "cosine" and t.lr_min > t.lr,
+         f"lr_min {t.lr_min} exceeds lr {t.lr} under the cosine schedule"),
+        (t.lr_schedule == "step" and t.factor <= 0,
+         f"factor must be > 0 under the step schedule, got {t.factor}"),
+        (t.mode == "kd" and not 0 <= t.alpha <= 1,
+         f"alpha must lie in [0, 1] in kd mode, got {t.alpha}"),
+        (t.mode == "kd" and t.temperature <= 0,
+         f"temperature must be > 0 in kd mode, got {t.temperature}"),
+    ):
+        if bad:
+            raise InvalidConfig(f"[train] {what}")
     if cfg.dataset.kind in ("cifar100", "file") and not cfg.dataset.path:
         raise InvalidConfig(f"dataset kind {cfg.dataset.kind!r} requires a path")
     t.milestone_list()

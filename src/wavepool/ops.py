@@ -16,19 +16,37 @@ Convolution is one GEMM per direction on a channel-major column matrix
 (im2col): a strided view of the padded input, reshaped to
 (C*kh*kw, N*Ho*Wo).  Forward is ``w2 @ cols`` with one transpose to NCHW;
 backward computes ``dw = g2 @ cols.T`` and ``dcols = w2.T @ g2``, and folds
-dcols back with kh*kw strided slice additions.  The column matrix is k*k
+dcols back with kh*kw strided slice additions into a zeroed (C, N, Hp, Wp)
+buffer, the channel-major layout dcols already has; one transposing copy
+then gives the contiguous NCHW input gradient.  The column matrix is k*k
 times the input, so it is rebuilt from the padded input in backward rather
 than kept on the tape: keeping it measured only a small gain in step time
 for a 40% rise in peak memory.  A 1x1 stride-1 convolution skips the column
 matrix and multiplies each image's (C, H*W) block directly.
+
+The column matrix, dcols and the transposed cotangent ``g2`` are large
+(59 MB of columns at a (50, 16, 32, 32) 3x3 site), so rather than being
+allocated, page-faulted and freed on every call they live in a scratch
+table: one flat float64 buffer per slot, grown to the largest request and
+handed out as a reshaped prefix.  Only storage that dies inside one call may
+live there, since the next request for the slot overwrites it; for the same
+reason the table, shared by the whole process, allows no two convolutions
+to run at once in different threads (nothing here starts one).  Nothing a
+forward writes there is read by a backward (distillation runs the teacher's
+forward between the student's forward and backward), and the forward uses
+the table only when the op is recorded: the backward will need a buffer of
+that size anyway, while an unrecorded forward (evaluation, a teacher) keeps
+its memory to the call.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .autodiff import Tensor, make_op
+from .autodiff import Tensor, is_recorded, make_op
 from .errors import InputTooShort, InvalidHyperparameter, OddLengthInput, ShapeMismatch
 
 PAD_MODES = ("circular", "same")
@@ -36,8 +54,21 @@ BN_MOMENTUM = 0.1  # weight of the batch statistics in the running averages
 BN_EPS = 1e-5
 
 
+_scratch: dict[str, np.ndarray] = {}
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _scratch_view(slot: str, shape) -> np.ndarray:
+    """A C-contiguous float64 array of ``shape`` over the prefix of slot
+    ``slot``'s buffer, which grows to the largest request."""
+    size = math.prod(shape)
+    if slot not in _scratch or _scratch[slot].size < size:
+        _scratch.pop(slot, None)  # free the smaller buffer before allocating
+        _scratch[slot] = np.empty(size)
+    return _scratch[slot][:size].reshape(shape)
 
 
 def conv2d(x, w, b=None, stride: int = 1, *, pad: str) -> Tensor:
@@ -91,7 +122,9 @@ def conv2d(x, w, b=None, stride: int = 1, *, pad: str) -> Tensor:
     # needs neither the column matrix nor a transpose to NCHW
     pointwise = kh == kw == stride == 1
 
-    def columns():
+    parents = (x, w) if b is None else (x, w, b)
+
+    def columns(scratch: bool):
         sn, sc, sh, sw = xp.strides
         view = as_strided(
             xp,
@@ -99,43 +132,50 @@ def conv2d(x, w, b=None, stride: int = 1, *, pad: str) -> Tensor:
             strides=(sc, sh, sw, sn, sh * stride, sw * stride),
             writeable=False,
         )
-        return view.reshape(K, M)
+        if not scratch:
+            return view.reshape(K, M)
+        cols = _scratch_view("cols", view.shape)
+        np.copyto(cols, view)
+        return cols.reshape(K, M)
 
     if pointwise:
         out = (w2 @ xp.reshape(N, C, H * W)).reshape(N, F, H, W)
     else:
-        out = np.ascontiguousarray((w2 @ columns()).reshape(F, N, Ho, Wo).transpose(1, 0, 2, 3))
+        # no name holds the columns: a fresh column matrix is freed before
+        # the output is copied out
+        out = np.ascontiguousarray(
+            (w2 @ columns(is_recorded(parents))).reshape(F, N, Ho, Wo).transpose(1, 0, 2, 3))
     if b is not None:
         out += b.data[None, :, None, None]
 
     def backward_fn(g):
-        g2 = g.transpose(1, 0, 2, 3).reshape(F, M)
-        dw = (g2 @ columns().T).reshape(w.shape) if w.requires_grad else None
+        g2 = _scratch_view("g2", (F, N, Ho, Wo))
+        np.copyto(g2, g.transpose(1, 0, 2, 3))
+        g2 = g2.reshape(F, M)
+        dw = (g2 @ columns(True).T).reshape(w.shape) if w.requires_grad else None
         dx = None
         if x.requires_grad and pointwise:
             dx = (w2.T @ g.reshape(N, F, H * W)).reshape(N, C, H, W)
         elif x.requires_grad:
-            dcols = (w2.T @ g2).reshape(C, kh, kw, N, Ho, Wo)
-            del g2  # freed before the padded gradient is allocated
-            dxp = np.zeros_like(xp)
+            # the columns are dead, so their slot takes dcols
+            dcols = np.matmul(w2.T, g2, out=_scratch_view("cols", (K, M)))
+            dcols = dcols.reshape(C, kh, kw, N, Ho, Wo)
+            dxp = np.zeros((C, N, Hp, Wp))
             for u in range(kh):
                 for v in range(kw):
-                    dxp[:, :, u:u + stride * Ho:stride, v:v + stride * Wo:stride] += (
-                        dcols[:, u, v].transpose(1, 0, 2, 3)
-                    )
+                    dxp[:, :, u:u + stride * Ho:stride, v:v + stride * Wo:stride] += dcols[:, u, v]
             if pad == "circular":
                 # each padded strip is a copy of the far end of the core
                 dxp[:, :, H:H + ph] += dxp[:, :, :ph]
                 dxp[:, :, ph:2 * ph] += dxp[:, :, H + ph:]
                 dxp[:, :, :, W:W + pw] += dxp[:, :, :, :pw]
                 dxp[:, :, :, pw:2 * pw] += dxp[:, :, :, W + pw:]
-            dx = dxp[:, :, ph:ph + H, pw:pw + W]
+            dx = np.ascontiguousarray(dxp[:, :, ph:ph + H, pw:pw + W].transpose(1, 0, 2, 3))
         if b is None:
             return (dx, dw)
         db = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
         return (dx, dw, db)
 
-    parents = (x, w) if b is None else (x, w, b)
     return make_op(out, parents, backward_fn)
 
 
@@ -183,7 +223,8 @@ def batchnorm2d(
 
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    out = gamma.data[None, :, None, None] * xhat
+    out += beta.data[None, :, None, None]
 
     def backward_fn(g):
         dgamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None

@@ -21,7 +21,9 @@ composes one private pair acting along a chosen axis: ``_analyze`` (the
 decimating periodic correlation) and its adjoint ``_synthesize``.
 ``_analyze_ll`` and its exact adjoint ``_analyze_ll_adjoint`` run one
 filter along both trailing axes, accept arbitrary leading batch axes and
-back every linear pooling layer.
+back every linear pooling layer.  Each call of the pair writes every tap's
+product into one buffer it allocates once and reuses, rather than a fresh
+temporary per tap.
 """
 
 from __future__ import annotations
@@ -77,8 +79,10 @@ def _analyze(x: np.ndarray, filt: np.ndarray, axis: int = -1, offset: int = 0) -
             [x[_at(slice(n - before, n), axis)], x, x[_at(slice(0, after), axis)]], axis=axis
         )
     out = x[_at(slice(0, n, 2), axis)] * filt[0]
+    tap = np.empty_like(out)
     for i in range(1, L):
-        out += filt[i] * x[_at(slice(i, i + n, 2), axis)]
+        np.multiply(x[_at(slice(i, i + n, 2), axis)], filt[i], out=tap)
+        out += tap
     return out
 
 
@@ -95,11 +99,14 @@ def _synthesize(c: np.ndarray, filt: np.ndarray, offset: int, axis: int = -1) ->
     n = 2 * half
     shape = list(c.shape)
     shape[axis] = n
+    # zero-filled rather than assigned from the first tap: 0.0 + -0.0 is
+    # 0.0, so the -0.0 of ReLU-masked gradients keeps its old result
     out = np.zeros(shape)
+    tap = np.empty(c.shape)
     for i in range(filt.size):
         rot, parity = divmod(i + offset, 2)
         rot %= half
-        tap = filt[i] * c
+        np.multiply(c, filt[i], out=tap)
         out[_at(slice(parity + 2 * rot, n, 2), axis)] += tap[_at(slice(0, half - rot), axis)]
         if rot:
             out[_at(slice(parity, 2 * rot, 2), axis)] += tap[_at(slice(half - rot, half), axis)]

@@ -7,12 +7,14 @@ element, 1 per produced pooling element per tap) without touching the
 library's own layer objects.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wavepool.autodiff import Parameter, Tensor, make_rng
+from wavepool.autodiff import Parameter, Tensor, make_rng, no_grad
 from wavepool.backbone import (
     VARIANTS,
     Block,
@@ -29,6 +31,7 @@ from wavepool.backbone import (
     save_checkpoint,
 )
 from wavepool.errors import InvalidConfig, ShapeMismatch, UnsupportedFormat
+from wavepool.ops import softmax_cross_entropy
 from wavepool.pooling import PoolKind, parse_pool
 
 HAAR = parse_pool("wavelet:haar")
@@ -341,6 +344,28 @@ class TestNetwork:
         out2 = model(Tensor(x)).data
         assert out1.shape == (3, 4)
         assert np.array_equal(out1, out2)
+
+    @pytest.mark.parametrize("recording", [True, False])
+    def test_forward_between_forward_and_backward_leaves_gradients(self, rng, recording):
+        """A backward reads nothing that another network's forward can
+        overwrite when it runs between that backward and its own forward:
+        with the tape on, and under no_grad as distillation runs its
+        teacher.  The other batch is larger, so shared buffers regrow."""
+        x, y = rng.normal(size=(4, 3, 32, 32)), np.arange(4)
+        other_x = rng.normal(size=(6, 3, 32, 32))
+
+        def gradients(interleave: bool):
+            model = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=5)
+            loss = softmax_cross_entropy(model(Tensor(x), training=True), y)
+            if interleave:
+                other = Network(micro_schedule(), MAX, "a", num_classes=4, seed=6)
+                with contextlib.nullcontext() if recording else no_grad():
+                    other(Tensor(other_x), training=recording)
+            loss.backward()
+            return [p.grad for p in model.parameters()]
+
+        for undisturbed, disturbed in zip(gradients(False), gradients(True), strict=True):
+            assert np.array_equal(undisturbed, disturbed)
 
     def test_same_seed_same_init(self):
         a = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=7)

@@ -13,6 +13,7 @@ import struct
 import numpy as np
 import pytest
 
+from wavepool import analysis
 from wavepool.cli import main
 from wavepool.config import config_hash, load_config
 from wavepool.data import LabeledImageSet, make_tiny_object_set, save_image_set
@@ -276,6 +277,23 @@ class TestTrain:
         assert main(["train", cfg_path]) == 2
         assert "not a finite number" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+
+    @pytest.mark.parametrize("lines", [
+        "lr = -0.05",
+        "lr_schedule = cosine\nlr_min = 1",
+        "lr_schedule = step\nfactor = 0",
+        "mode = kd\nteacher = t.wvpk\ntemperature = 0",
+        "period = -3",
+    ])
+    def test_bad_train_value_exits_2_before_reading_data(self, tmp_path, capsys, monkeypatch,
+                                                          lines):
+        opened = []
+        monkeypatch.setattr(analysis, "load_dataset", lambda *a, **k: opened.append(a))
+        text = tiny_config_text(tmp_path / "runs") + f"[train]\n{lines}\n"
+        assert main(["train", write_config(tmp_path / "bad.config", text)]) == 2
+        assert "[train]" in capsys.readouterr().err
+        assert not opened and not (tmp_path / "runs").exists()
 
 
 class TestEval:

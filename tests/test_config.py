@@ -106,6 +106,31 @@ class TestParsing:
         with pytest.raises(InvalidConfig, match="seed"):
             parse_config("[train]\nseed = -1\n")
 
+    @pytest.mark.parametrize("lines, key", [
+        ("lr = -0.01", "lr"),
+        ("period = -3", "period"),
+        ("lr_schedule = cosine\nlr_min = 1", "lr_min"),
+        ("lr_schedule = step\nfactor = 0", "factor"),
+        ("lr_schedule = step\nfactor = -0.5", "factor"),
+        ("mode = kd\nteacher = t.wvpk\nalpha = 1.5", "alpha"),
+        ("mode = kd\nteacher = t.wvpk\nalpha = -0.1", "alpha"),
+        ("mode = kd\nteacher = t.wvpk\ntemperature = 0", "temperature"),
+    ])
+    def test_train_values_refused_at_parse_time(self, lines, key):
+        with pytest.raises(InvalidConfig, match=rf"\[train\] {key}"):
+            parse_config(f"[train]\n{lines}\n")
+
+    @pytest.mark.parametrize("lines", [
+        "lr = 0\nperiod = 0",
+        "lr_schedule = cosine\nlr = 0.1\nlr_min = 0.1",
+        "lr_schedule = constant\nfactor = 0\nlr_min = 5",  # unused by the schedule
+        "mode = kd\nteacher = t.wvpk\nalpha = 0\ntemperature = 0.5",
+        "mode = kd\nteacher = t.wvpk\nalpha = 1",
+        "mode = plain\nalpha = 2\ntemperature = -1",  # unused outside kd mode
+    ])
+    def test_train_boundary_values_parse(self, lines):
+        parse_config(f"[train]\n{lines}\n")
+
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("section, key", [
         (section, f.name) for section, klass in _SECTIONS.items() for f in fields(klass)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _gradcheck import gradcheck
+from wavepool import ops
 from wavepool.autodiff import Tensor, make_rng, no_grad
 from wavepool.errors import (
     InputTooShort,
@@ -180,10 +181,15 @@ def _check_adjoint(rng, x_shape, w_shape, stride, pad):
 def test_conv_keeps_only_output_and_padded_input(rng, k, stride, pad):
     """Between forward and backward a conv keeps its output and, for k > 1,
     the padded input.  The column matrix (k*k input copies) is rebuilt in
-    backward, and a 1x1 conv keeps no copy of its input at all."""
+    backward, and a 1x1 conv keeps no copy of its input at all.  One
+    identical conv runs first, so that the scratch table has grown to this
+    shape before the measured window."""
     n, c, h, wd, f = 50, 16, 8, 8, 8
     x = Tensor(rng.normal(size=(n, c, h, wd)), requires_grad=True)
     w = Tensor(rng.normal(size=(f, c, k, k)), requires_grad=True)
+    warm = conv2d(x, w, stride=stride, pad=pad)
+    warm.backward(np.ones(warm.shape))
+    del warm
     xp_nbytes = 0 if k == 1 else n * c * (h + k - 1) * (wd + k - 1) * x.data.itemsize
     tracemalloc.start()
     try:
@@ -193,6 +199,111 @@ def test_conv_keeps_only_output_and_padded_input(rng, k, stride, pad):
     finally:
         tracemalloc.stop()
     assert kept <= out.data.nbytes + xp_nbytes + 64 * 1024
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [1, 3])
+def test_unrecorded_conv_peak_is_columns_input_and_output(rng, k, stride):
+    """Under no_grad a conv's peak is its padded input, its own column
+    matrix and its output: the columns are freed before the output is
+    copied out."""
+    n, c, h, wd, f = 50, 16, 8, 8, 8
+    x = Tensor(rng.normal(size=(n, c, h, wd)), requires_grad=True)
+    w = Tensor(rng.normal(size=(f, c, k, k)), requires_grad=True)
+    ho, wo = h // stride, wd // stride
+    xp_nbytes = 0 if k == 1 else n * c * (h + k - 1) * (wd + k - 1) * 8
+    cols_nbytes = 0 if k == stride == 1 else c * k * k * n * ho * wo * 8
+    with no_grad():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, w, stride=stride, pad="same")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert peak <= xp_nbytes + cols_nbytes + out.data.nbytes + 64 * 1024
+
+
+def test_scratch_holds_only_the_largest_site(rng, monkeypatch):
+    """Recorded convs of several shapes leave at most the column matrix and
+    transposed cotangent of the largest one in the scratch table; a conv
+    under no_grad leaves the table's buffers, sizes and contents as they
+    were."""
+    monkeypatch.setattr(ops, "_scratch", {})
+    largest = 0
+    for n, c, hw, f, k, stride in [(4, 3, 16, 8, 3, 1), (6, 8, 12, 16, 3, 2),
+                                   (5, 16, 8, 4, 1, 1), (2, 4, 10, 6, 1, 2)]:
+        x = Tensor(rng.normal(size=(n, c, hw, hw)), requires_grad=True)
+        w = Tensor(rng.normal(size=(f, c, k, k)), requires_grad=True)
+        out = conv2d(x, w, stride=stride, pad="circular")
+        out.backward(rng.normal(size=out.shape))
+        m = n * (hw // stride) ** 2
+        largest = max(largest, (c * k * k * m + f * m) * 8)
+    assert 0 < sum(buf.nbytes for buf in ops._scratch.values()) <= largest
+
+    before = {slot: (buf, buf.size, buf.copy()) for slot, buf in ops._scratch.items()}
+    with no_grad():
+        conv2d(Tensor(rng.normal(size=(8, 16, 20, 20)), requires_grad=True),
+               Tensor(rng.normal(size=(16, 16, 3, 3)), requires_grad=True), pad="same")
+    assert ops._scratch.keys() == before.keys()
+    for slot, (buf, size, contents) in before.items():
+        assert ops._scratch[slot] is buf and buf.size == size
+        assert buf.tobytes() == contents.tobytes()
+
+
+def _signed_zeros(rng, shape):
+    """Normal samples with about a third of the entries -0.0, as a
+    ReLU-masked gradient carries them."""
+    g = rng.normal(size=shape)
+    g[rng.random(shape) < 1 / 3] = -0.0
+    return g
+
+
+@pytest.mark.parametrize("pad", ["same", "circular"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv_matches_per_call_kernels_byte_for_byte(rng, k, stride, pad):
+    """conv2d's scratch buffers and channel-major fold change no byte: the
+    output, dw and dx equal a fresh column matrix's GEMMs and a tap-by-tap
+    NCHW scatter-and-fold of dcols."""
+    n, c, h, wd, f = 3, 4, 6, 8, 5
+    x = Tensor(_signed_zeros(rng, (n, c, h, wd)), requires_grad=True)
+    w = Tensor(rng.normal(size=(f, c, k, k)), requires_grad=True)
+    out = conv2d(x, w, stride=stride, pad=pad)
+    g = _signed_zeros(rng, out.shape)
+    out.backward(g)
+
+    p = k // 2
+    mode = "wrap" if pad == "circular" else "constant"
+    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)), mode=mode)
+    ho, wo = out.shape[2:]
+    sn, sc, sh, sw = xp.strides
+    cols = np.lib.stride_tricks.as_strided(
+        xp, (c, k, k, n, ho, wo), (sc, sh, sw, sn, sh * stride, sw * stride)
+    ).reshape(c * k * k, n * ho * wo)
+    w2 = w.data.reshape(f, -1)
+    g2 = g.transpose(1, 0, 2, 3).reshape(f, -1)
+    dw = (g2 @ cols.T).reshape(w.shape)
+    if k == stride == 1:
+        ref_out = (w2 @ x.data.reshape(n, c, h * wd)).reshape(out.shape)
+        dx = (w2.T @ g.reshape(n, f, h * wd)).reshape(x.shape)
+    else:
+        ref_out = (w2 @ cols).reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
+        dcols = (w2.T @ g2).reshape(c, k, k, n, ho, wo)
+        dxp = np.zeros_like(xp)
+        for u in range(k):
+            for v in range(k):
+                dxp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += (
+                    dcols[:, u, v].transpose(1, 0, 2, 3))
+        if pad == "circular" and p:
+            dxp[:, :, h:h + p] += dxp[:, :, :p]
+            dxp[:, :, p:2 * p] += dxp[:, :, h + p:]
+            dxp[:, :, :, wd:wd + p] += dxp[:, :, :, :p]
+            dxp[:, :, :, p:2 * p] += dxp[:, :, :, wd + p:]
+        dx = dxp[:, :, p:p + h, p:p + wd]
+    for got, want in ((out.data, ref_out), (w.grad, dw), (x.grad, dx)):
+        assert got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestBatchNorm:
@@ -242,8 +353,19 @@ class TestBatchNorm:
         inv = 1.0 / np.sqrt(var + 1e-5)
         xhat = (x - mu[None, :, None, None]) * inv[None, :, None, None]
         expected = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
-        assert np.array_equal(out.data, expected)
+        assert out.data.tobytes() == expected.tobytes()
         assert np.array_equal(rv, rv_expected)
+
+    @pytest.mark.parametrize("shape", [(50, 16, 32, 32), (3, 5, 7, 9)])
+    def test_eval_mode_rounds_as_affine_formula(self, rng, shape):
+        c = shape[1]
+        x = _signed_zeros(rng, shape)
+        gamma, beta = _signed_zeros(rng, c), _signed_zeros(rng, c)
+        rm, rv = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
+        out = batchnorm2d(Tensor(x), Tensor(gamma), Tensor(beta), rm, rv, training=False)
+        xhat = (x - rm[None, :, None, None]) * (1.0 / np.sqrt(rv + 1e-5))[None, :, None, None]
+        expected = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+        assert out.data.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "shape", [(50, 16, 32, 32), (50, 64, 8, 8), (3, 5, 7, 9), (1, 2, 1, 1)]
