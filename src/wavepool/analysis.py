@@ -215,6 +215,17 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
+def _logits(model, images: np.ndarray, shift=(0, 0), batch_size: int = 100) -> np.ndarray:
+    """Eval-mode logits of ``images`` rolled circularly by ``shift`` (rows,
+    columns), forwarded ``batch_size`` at a time so that memory follows the
+    batch, not the set."""
+    with no_grad():
+        return np.concatenate([
+            model.forward(np.roll(images[start:start + batch_size], shift, axis=(2, 3)),
+                          training=False).data
+            for start in range(0, images.shape[0], batch_size)])
+
+
 def shift_consistency(model, dataset: LabeledImageSet, max_shift: int,
                       sample_limit: int = 0) -> MetricsReport:
     """Prediction stability under circular input shifts.
@@ -223,7 +234,8 @@ def shift_consistency(model, dataset: LabeledImageSet, max_shift: int,
     is rolled circularly and re-classified; the report carries the mean
     argmax agreement with the unshifted prediction and the mean cosine
     similarity of logits.  Circular shifts match the periodic convolution
-    semantics, making full-stride agreement an exact identity.
+    semantics, making full-stride agreement an exact identity.  Images are
+    forwarded in batches, as ``evaluate`` does.
     """
     if max_shift < 1:
         raise InvalidConfig(f"max_shift must be >= 1, got {max_shift}")
@@ -233,16 +245,13 @@ def shift_consistency(model, dataset: LabeledImageSet, max_shift: int,
     if sample_limit:
         images = images[:sample_limit]
     n = images.shape[0]
-    with no_grad():
-        base = model.forward(images, training=False).data
+    base = _logits(model, images)
     base_cls = base.argmax(axis=1)
     agree = []
     cosines = []
     for dr in range(1, max_shift + 1):
         for dc in range(1, max_shift + 1):
-            shifted = np.roll(images, shift=(dr, dc), axis=(2, 3))
-            with no_grad():
-                out = model.forward(shifted, training=False).data
+            out = _logits(model, images, shift=(dr, dc))
             agree.append(np.mean(out.argmax(axis=1) == base_cls))
             cosines.extend(_cosine(base[s], out[s]) for s in range(n))
     report = MetricsReport(metadata={"max_shift": str(max_shift), "samples": str(n)})
@@ -271,15 +280,13 @@ def load_dataset(cfg: ExperimentConfig, split: str, data_dir: str = "") -> Label
 
 
 def build_model_from_config(cfg: ExperimentConfig, num_classes: int,
-                            train_set: LabeledImageSet | None = None,
-                            pool: str | None = None) -> bb.Network:
+                            data: LabeledImageSet, pool: str | None = None) -> bb.Network:
+    """The configured network over ``data``'s channels, its input normalized
+    by ``data``'s channel stats (until a checkpoint replaces them)."""
     schedule = bb.SCHEDULES[cfg.model.schedule]()
     if cfg.model.bottom_heavy_shift:
         schedule = bb.bottom_heavy(schedule, cfg.model.bottom_heavy_shift)
-    data = {}
-    if train_set is not None:
-        mean, std = train_set.channel_stats()
-        data = dict(input_mean=mean, input_std=std, in_channels=train_set.images.shape[1])
+    mean, std = data.channel_stats()
     return bb.Network(
         schedule,
         parse_pool(pool if pool is not None else cfg.model.pool),
@@ -287,7 +294,7 @@ def build_model_from_config(cfg: ExperimentConfig, num_classes: int,
         num_classes=num_classes,
         seed=cfg.train.seed,
         conv_pad=cfg.model.conv_pad,
-        **data,
+        input_mean=mean, input_std=std, in_channels=data.images.shape[1],
     )
 
 
@@ -297,17 +304,13 @@ def _epoch_lr(cfg: ExperimentConfig, epoch: int) -> float:
 
 def evaluate(model, dataset: LabeledImageSet, batch_size: int = 100):
     """(mean cross-entropy, accuracy) over a dataset."""
+    logits = _logits(model, dataset.images, batch_size=batch_size)
     total_loss = 0.0
-    correct = 0
     n = len(dataset)
-    with no_grad():
-        for start in range(0, n, batch_size):
-            x = dataset.images[start:start + batch_size]
-            y = dataset.labels[start:start + batch_size]
-            logits = model.forward(x, training=False)
-            total_loss += softmax_cross_entropy(logits, y).item() * len(y)
-            correct += int(np.sum(logits.data.argmax(axis=1) == y))
-    return total_loss / n, correct / n
+    for start in range(0, n, batch_size):
+        y = dataset.labels[start:start + batch_size]
+        total_loss += softmax_cross_entropy(logits[start:start + batch_size], y).item() * len(y)
+    return total_loss / n, int(np.sum(logits.argmax(axis=1) == dataset.labels)) / n
 
 
 def train_model(cfg: ExperimentConfig, data_dir: str = "",

@@ -1,8 +1,8 @@
 """Residual micro-networks with selectable down-sampling and accounting.
 
-A network is one list of layers: the stem's, then the bottleneck blocks,
-then the head (global average pool and linear classifier).  A variant is
-its config letter; three block orders exist at down-sampling blocks:
+A network is one list of layers: input normalization, the stem's, the
+bottleneck blocks, then the head (global average pool and classifier).  A
+variant is its config letter; three block orders exist at down-sampling blocks:
 
 - "a" (original): stride-2 convolutions on both the main and skip path;
 - "b" (pool before the skip conv): the stride-2 convs become stride-1 convs
@@ -27,7 +27,7 @@ Conventions used by the counters (all integers, per single input image):
 
 - conv/linear: 2 FLOPs per multiply-accumulate, plus one per output
   element for the bias, which only the linear head has;
-- batchnorm: 2 FLOPs per element; relu: 1; residual add: 1;
+- batchnorm and input normalization: 2 per element; relu, residual add: 1;
 - pooling: 1 FLOP per produced element per filter tap, as the operators
   are actually implemented; ``PoolKind.flops`` derives it from each
   family's filter;
@@ -35,7 +35,7 @@ Conventions used by the counters (all integers, per single input image):
 
 Parameter counts sum the learnable tensors (conv weights, the linear
 head's weight and bias, batchnorm scale and shift); batchnorm running
-statistics are state, not parameters, though checkpoints carry them.
+statistics and the input mean and std are state; checkpoints carry them.
 
 Convolutions default to circular padding so that the whole network is
 exactly equivariant to full-stride circular shifts of its input, making
@@ -159,12 +159,12 @@ def bottom_heavy(schedule: StageSchedule, shift: int = 2) -> StageSchedule:
 # ---------------------------------------------------------------------------
 # layers
 #
-# A network is described as ordered lists of layers: the stem, each
-# block's main and skip path, and the head.  Every layer is called as
-# layer(x, training) and reports, for one (h, w) input image, its output
-# size (``out_hw``) and its forward FLOPs (``flops``); forward, shape
-# tracing, FLOP counting, parameters and checkpoint state all iterate the
-# same lists.
+# A network is described as ordered lists of layers: input normalization
+# and the stem, each block's main and skip path, and the head.  Every layer
+# is called as layer(x, training) and reports, for one (h, w) input image,
+# its output size (``out_hw``) and its forward FLOPs (``flops``); forward,
+# shape tracing, FLOP counting, parameters and checkpoint state all iterate
+# the same lists.
 
 
 def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -182,21 +182,54 @@ class _Layer:
     """Defaults for a parameter-free layer that keeps the spatial size.
 
     ``tensors`` holds the layer's (key, value) pairs in checkpoint order: a
-    Parameter is learnable, a plain array (batchnorm running statistics) is
-    state only.  Checkpoint names are ``f"{name}.{key}"``.
+    Parameter is learnable, a plain array (batchnorm running statistics, the
+    input mean and std) is state only.  Checkpoint names are
+    ``f"{name}.{key}"``; the tensors of the sublayers in ``parts`` follow.
     """
 
     tensors = ()
+    parts = ()
 
     def parameters(self):
-        return [t for _key, t in self.tensors if isinstance(t, Parameter)]
+        own = [t for _key, t in self.tensors if isinstance(t, Parameter)]
+        return own + [p for part in self.parts for p in part.parameters()]
 
     def state(self):
-        return [(f"{self.name}.{key}", t.data if isinstance(t, Parameter) else t)
-                for key, t in self.tensors]
+        own = [(f"{self.name}.{key}", t.data if isinstance(t, Parameter) else t)
+               for key, t in self.tensors]
+        return own + [item for part in self.parts for item in part.state()]
+
+    def check(self, **tensors):
+        """Refuse values of the layer's own ``tensors`` it cannot run with;
+        ``Network.load_state`` asks its top-level layers before writing."""
 
     def out_hw(self, h, w):
         return h, w
+
+
+class _Normalize(_Layer):
+    """Fixed per-channel input normalization, ``(x + -mean) * (1 / std)``."""
+
+    def __init__(self, mean, std, ch):
+        self.name = "input"
+        self.mean = np.array(mean, dtype=np.float64).reshape(-1)
+        self.std = np.array(std, dtype=np.float64).reshape(-1)
+        if self.mean.shape != (ch,) or self.std.shape != (ch,):
+            raise ShapeMismatch("normalization stats must have one entry per channel")
+        self.check(self.mean, self.std)
+        self.tensors = (("mean", self.mean), ("std", self.std))
+
+    def check(self, mean, std):
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise InvalidConfig("input.mean must be finite and input.std finite and positive, "
+                                f"got {mean} and {std}")
+
+    def __call__(self, x: Tensor, training: bool) -> Tensor:
+        return Tensor((x.data + -self.mean[None, :, None, None])
+                      * (1.0 / self.std[None, :, None, None]))
+
+    def flops(self, h, w) -> int:
+        return 2 * self.mean.size * h * w
 
 
 class _Conv(_Layer):
@@ -382,17 +415,12 @@ class Block(_Layer):
         if variant != "a":
             self.main = _substitute(self.main, pool)
             self.skip = _substitute(self.skip, pool, pool_first=variant == "b")
+        self.parts = self.main + self.skip
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
         return relu(_run(self.main, x, training) + _run(self.skip, x, training))
 
     __call__ = forward
-
-    def parameters(self):
-        return [p for layer in self.main + self.skip for p in layer.parameters()]
-
-    def state(self):
-        return [item for layer in self.main + self.skip for item in layer.state()]
 
     def out_hw(self, h, w):
         return _walk(self.main, h, w)[1:]
@@ -403,12 +431,12 @@ class Block(_Layer):
         return main + skip + 2 * self.out_ch * oh * ow  # residual add + relu
 
 
-class Network:
-    """Stem -> bottleneck stages -> global average pool -> classifier.
+class Network(_Layer):
+    """Input normalization -> stem -> stages -> global average pool -> classifier.
 
-    ``layers`` is the stem's layer list followed by the blocks; ``head`` is
-    the global average pool and classifier that follow them.  ``variant``
-    is one of ``VARIANTS``.
+    ``layers`` is the input normalization (when its stats are given), the
+    stem's layer list and the blocks; ``head`` is the global average pool
+    and classifier that follow them.  ``variant`` is one of ``VARIANTS``.
     """
 
     def __init__(self, schedule: StageSchedule, pool: PoolKind, variant: str,
@@ -418,17 +446,9 @@ class Network:
             raise InvalidConfig(f"num_classes must be >= 2, got {num_classes}")
         if conv_pad not in PAD_MODES:
             raise InvalidConfig(f"conv_pad must be one of {PAD_MODES}, got {conv_pad!r}")
-        self.in_channels = in_channels
         if (input_mean is None) != (input_std is None):
             raise InvalidConfig("input_mean and input_std must be given together")
-        if input_mean is not None:
-            input_mean = np.asarray(input_mean, dtype=np.float64).reshape(-1)
-            input_std = np.asarray(input_std, dtype=np.float64).reshape(-1)
-            if input_mean.shape != (in_channels,) or input_std.shape != (in_channels,):
-                raise ShapeMismatch("normalization stats must have one entry per channel")
-            if np.any(input_std <= 0):
-                raise InvalidConfig("input_std entries must be positive")
-        self.input_mean, self.input_std = input_mean, input_std
+        norm = [] if input_mean is None else [_Normalize(input_mean, input_std, in_channels)]
 
         rng = make_rng(seed)
         ch = schedule.stem_channels
@@ -458,8 +478,9 @@ class Network:
                 )
                 self.blocks.append(block)
                 in_ch = out_ch
-        self.layers = _substitute(stem, pool) + self.blocks
+        self.layers = norm + _substitute(stem, pool) + self.blocks
         self.head = _Head(in_ch, num_classes, rng)
+        self.parts = self.layers + [self.head]
 
     def trace_shapes(self, h: int, w: int):
         """Walk spatial dims; raise InvalidConfig for a non-positive size or
@@ -469,25 +490,14 @@ class Network:
 
     def forward(self, x, training: bool = False) -> Tensor:
         x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
+        if x.ndim != 4 or x.shape[1] != self.stem_conv.in_ch:
             raise ShapeMismatch(
-                f"expected (N, {self.in_channels}, H, W) input, got {x.shape}"
+                f"expected (N, {self.stem_conv.in_ch}, H, W) input, got {x.shape}"
             )
         self.trace_shapes(x.shape[2], x.shape[3])
-        if self.input_mean is not None:
-            x = Tensor((x.data + -self.input_mean[None, :, None, None])
-                       * (1.0 / self.input_std[None, :, None, None]))
-        return _run(self.layers + [self.head], x, training)
+        return _run(self.parts, x, training)
 
     __call__ = forward
-
-    # -- parameters and serialization ----------------------------------------
-
-    def parameters(self):
-        return [p for layer in self.layers + [self.head] for p in layer.parameters()]
-
-    def state(self):
-        return [item for layer in self.layers + [self.head] for item in layer.state()]
 
     def load_state(self, tensors: dict[str, np.ndarray]) -> None:
         own = self.state()
@@ -499,6 +509,8 @@ class Network:
                 f"checkpoint does not match model (missing {missing[:3]}, "
                 f"unexpected {extra[:3]})"
             )
+        for layer in self.parts:
+            layer.check(**{key: tensors[f"{layer.name}.{key}"] for key, _t in layer.tensors})
         for name, arr in own:
             new = tensors[name]
             if new.shape != arr.shape:
@@ -517,8 +529,7 @@ def count_params(model: Network) -> int:
 def count_flops(model: Network, h: int, w: int) -> int:
     """Forward FLOPs for one (in_channels, h, w) image per the documented
     integer conventions."""
-    total = 2 * model.in_channels * h * w if model.input_mean is not None else 0
-    return int(total + _walk(model.layers + [model.head], h, w)[0])
+    return int(_walk(model.parts, h, w)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -54,21 +54,19 @@ def cmd_transform(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
 
     summary = {"wavelet": spec.name, "input": list(image.shape), "subbands": {}}
-    total = 0.0
     named = {"ll": bands.ll, "lh": bands.lh, "hl": bands.hl, "hh": bands.hh}
-    for name, band in named.items():
-        total += float(np.sum(band**2))
+    energies = {name: float(np.sum(band**2)) for name, band in named.items()}
+    total = sum(energies.values())
     for name, band in named.items():
         lo, hi = float(band.min()), float(band.max())
         scale = hi - lo
         normalized = (band - lo) / scale if scale > 0 else np.zeros_like(band)
         write_pgm(os.path.join(args.outdir, f"{name}.pgm"), normalized, maxval=65535)
-        energy = float(np.sum(band**2))
         summary["subbands"][name] = {
             "min": lo,
             "max": hi,
-            "energy": energy,
-            "energy_fraction": energy / total if total > 0 else 0.0,
+            "energy": energies[name],
+            "energy_fraction": energies[name] / total if total > 0 else 0.0,
         }
     lowpass = reconstruct_lowpass(image, spec)
     write_pgm(os.path.join(args.outdir, "lowpass.pgm"), np.clip(lowpass, 0, 1))
@@ -106,21 +104,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _restore(args):
-    """(config, test split, model with the checkpoint's weights) for the
-    commands that score a checkpoint; the training split gives the input
-    normalization."""
+def _build(args):
+    """(config, test split, the network ``train`` builds for the config); a
+    checkpoint loaded into it brings its own input normalization, so no
+    command but ``train`` reads the training split."""
     cfg = load_config(args.config)
-    data_dir = _data_dir(args)
-    train_set = load_dataset(cfg, "train", data_dir)
-    test_set = load_dataset(cfg, "test", data_dir)
-    model = build_model_from_config(cfg, train_set.class_count, train_set)
-    bb.load_checkpoint(model, args.checkpoint)
-    return cfg, test_set, model
+    test_set = load_dataset(cfg, "test", _data_dir(args))
+    return cfg, test_set, build_model_from_config(cfg, test_set.class_count, test_set)
 
 
 def cmd_eval(args) -> int:
-    cfg, test_set, model = _restore(args)
+    cfg, test_set, model = _build(args)
+    bb.load_checkpoint(model, args.checkpoint)
     loss, acc = evaluate(model, test_set)
     report = MetricsReport(
         metadata={"config_hash": config_hash(cfg), "checkpoint": args.checkpoint}
@@ -137,10 +132,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_count(args) -> int:
-    cfg = load_config(args.config)
-    model = build_model_from_config(cfg, num_classes=max(cfg.dataset.classes, 2))
-    h = cfg.dataset.image_size if args.height is None else args.height
-    w = cfg.dataset.image_size if args.width is None else args.width
+    cfg, test_set, model = _build(args)
+    h = test_set.images.shape[2] if args.height is None else args.height
+    w = test_set.images.shape[3] if args.width is None else args.width
     report = MetricsReport(metadata={"config_hash": config_hash(cfg)})
     report.add("param_count", bb.count_params(model), "params")
     report.add("flop_count", bb.count_flops(model, h, w), f"flops@{h}x{w}")
@@ -166,7 +160,8 @@ def cmd_alias(args) -> int:
 
 
 def cmd_consistency(args) -> int:
-    cfg, test_set, model = _restore(args)
+    cfg, test_set, model = _build(args)
+    bb.load_checkpoint(model, args.checkpoint)
     report = shift_consistency(model, test_set, args.max_shift, args.samples)
     report.metadata["config_hash"] = config_hash(cfg)
     report.metadata["pool"] = cfg.model.pool
@@ -208,6 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--height", type=int, default=None)
     p.add_argument("--width", type=int, default=None)
+    p.add_argument("--data-dir", default="", help="dataset root override")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("alias", help="alias energy sweep for one pool kind")

@@ -14,7 +14,8 @@ File formats handled here, byte-exact:
   50,000 records and ``test.bin`` 10,000.
 - image-set flat binary (extension ``.wvds``): header magic ``WVDS``,
   u32 version (=1), u32 N, C, H, W, class_count, all little-endian; then
-  N u32 labels; then N*C*H*W float64 little-endian pixels in [0,1].
+  N u32 labels; then N*C*H*W float64 little-endian pixels in [0,1].  A
+  file with a non-finite pixel is refused.
 """
 
 from __future__ import annotations
@@ -239,6 +240,8 @@ def load_image_set(path) -> LabeledImageSet:
         raise CorruptDataset(f"{path}: size {len(blob)}, expected {expected}")
     labels = np.frombuffer(blob, dtype="<u4", count=n, offset=28).astype(np.int64)
     images = np.frombuffer(blob, dtype="<f8", count=n * c * h * w, offset=28 + 4 * n)
+    if not np.all(np.isfinite(images)):
+        raise CorruptDataset(f"{path}: non-finite pixel values")
     return LabeledImageSet(
         images=images.reshape(n, c, h, w).astype(np.float64),
         labels=labels,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from wavepool.analysis import (
     MetricsReport,
     _epoch_lr,
     alias_energy_sweep,
+    build_model_from_config,
     dft2,
     evaluate,
     load_dataset,
@@ -289,6 +291,21 @@ class TestShiftConsistency:
         with pytest.raises(InvalidConfig):
             shift_consistency(model, data, max_shift=0)
 
+    def test_memory_follows_the_batch_not_the_set(self):
+        # images are forwarded 100 at a time, so 4x the images adds only
+        # their logits and cosines to the peak, not 4x the activations
+        schedule = StageSchedule(stages=((1, 4, True),), stem_channels=4, expansion=2)
+        model = Network(schedule, parse_pool("wavelet:haar"), "c", num_classes=4, seed=0)
+        data = make_tiny_object_set(800, image_size=16, object_size=2, classes=4, seed=0)
+        shift_consistency(model, data, max_shift=1, sample_limit=200)  # grows ops' scratch
+        peaks = {}
+        for n in (200, 800):
+            tracemalloc.start()
+            shift_consistency(model, data, max_shift=1, sample_limit=n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks[800] <= peaks[200] + 128 * 1024
+
 
 class TestLoadDataset:
     def test_synthetic_deterministic_and_split_disjoint(self):
@@ -384,11 +401,11 @@ class TestExperimentRuns:
     def test_kd_with_full_hard_label_weight_matches_plain(self, tmp_path):
         # alpha = 1 reduces kd_loss to plain cross-entropy exactly, so the
         # whole run must be bit-identical to plain mode
-        teacher = Network(micro_schedule(), parse_pool("max"), "c",
-                          num_classes=2, seed=42)
+        cfg = parse_config(tiny_config_text())
+        teacher = build_model_from_config(cfg, 2, load_dataset(cfg, "train"), pool="max")
         tpath = tmp_path / "teacher.wvpk"
         save_checkpoint(teacher, tpath)
-        plain = train_model(parse_config(tiny_config_text()))[1]
+        plain = train_model(cfg)[1]
         kd = train_model(
             parse_config(tiny_config_text(mode="kd", teacher=str(tpath), alpha="1.0"))
         )[1]

@@ -30,10 +30,17 @@ from wavepool.backbone import (
     resnet50_schedule,
     save_checkpoint,
 )
-from wavepool.errors import InvalidConfig, ShapeMismatch, UnsupportedFormat
+from wavepool.errors import InvalidConfig, ShapeMismatch, UnsupportedFormat, WavepoolError
 from wavepool.ops import softmax_cross_entropy
 from wavepool.pooling import PoolKind, parse_pool
 
+# input statistics the network refuses: a non-finite mean, a std that is
+# not finite and > 0
+BAD_STATS = [((0.5, np.nan, 0.5), (0.2, 0.2, 0.2)), ((0.5, 0.5, np.inf), (0.2, 0.2, 0.2)),
+             ((0.5, 0.5, 0.5), (0.2, 0.0, 0.2)), ((0.5, 0.5, 0.5), (-0.2, 0.2, 0.2)),
+             ((0.5, 0.5, 0.5), (0.2, np.nan, 0.2)), ((0.5, 0.5, 0.5), (0.2, 0.2, np.inf))]
+
+STATS = dict(input_mean=(0.4, 0.5, 0.6), input_std=(0.2, 0.25, 0.3))
 HAAR = parse_pool("wavelet:haar")
 MAX = parse_pool("max")
 STRIDED = parse_pool("strided")
@@ -239,6 +246,18 @@ class TestFlopCounts:
         model = Network(micro_schedule(), HAAR, "c", num_classes=4)
         assert count_flops(model, 32, 32) == micro_haar_variant_c_flops(32, 32, 4)
 
+    def test_normalization_is_a_layer_counted_in_the_walk(self):
+        # 2 FLOPs per input element, no parameters, two state tensors first
+        plain = Network(micro_schedule(), HAAR, "c", num_classes=4, in_channels=1)
+        norm = Network(micro_schedule(), HAAR, "c", num_classes=4, in_channels=1,
+                       input_mean=(0.5,), input_std=(0.25,))
+        assert count_flops(norm, 32, 32) - count_flops(plain, 32, 32) == 2 * 1 * 32 * 32
+        assert count_params(norm) == count_params(plain)
+        assert [name for name, _arr in norm.state()][:3] == [
+            "input.mean", "input.std", "stem.conv.weight"]
+        assert [name for name, _arr in norm.state()][2:] == [
+            name for name, _arr in plain.state()]
+
     def test_flops_scale_with_input_area(self):
         model = Network(micro_schedule(), HAAR, "c", num_classes=4)
         f32 = count_flops(model, 32, 32)
@@ -436,6 +455,10 @@ class TestNetwork:
         with pytest.raises(ShapeMismatch):
             Network(micro_schedule(), HAAR, "c", num_classes=4,
                     input_mean=(0.5,), input_std=(0.2,))
+        for mean, std in BAD_STATS:
+            with pytest.raises(InvalidConfig, match="input"):
+                Network(micro_schedule(), HAAR, "c", num_classes=4,
+                        input_mean=mean, input_std=std)
         for pad in ("bogus", "valid"):
             with pytest.raises(InvalidConfig):
                 Network(micro_schedule(), HAAR, "c", num_classes=4, conv_pad=pad)
@@ -540,7 +563,7 @@ class TestCheckpoints:
         """A small net's checkpoint bytes, and a directory to write variants to."""
         sched = StageSchedule(stages=((1, 2, True),), stem_channels=2, expansion=1)
         path = tmp_path_factory.mktemp("checkpoint") / "model.wvpk"
-        save_checkpoint(Network(sched, HAAR, "c", num_classes=2), path)
+        save_checkpoint(Network(sched, HAAR, "c", num_classes=2, **STATS), path)
         return path.parent, path.read_bytes()
 
     @settings(max_examples=50, deadline=None)
@@ -553,6 +576,52 @@ class TestCheckpoints:
             path.write_bytes(bad)
             with pytest.raises(UnsupportedFormat):
                 read_checkpoint(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bit=st.integers(min_value=0))
+    def test_single_bit_flip_loads_or_raises_named_error(self, saved_blob, bit):
+        folder, blob = saved_blob
+        flipped = bytearray(blob)
+        bit %= 8 * len(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path = folder / "flipped.wvpk"
+        path.write_bytes(bytes(flipped))
+        sched = StageSchedule(stages=((1, 2, True),), stem_channels=2, expansion=1)
+        model = Network(sched, HAAR, "c", num_classes=2, **STATS)
+        try:
+            load_checkpoint(model, path)
+        except WavepoolError:
+            pass
+
+    @pytest.mark.parametrize("mean, std", BAD_STATS)
+    def test_bad_normalization_stats_refused_on_load(self, mean, std):
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=1, **STATS)
+        before = [arr.copy() for _name, arr in model.state()]
+        tensors = dict(model.state())
+        tensors["input.mean"], tensors["input.std"] = np.array(mean), np.array(std)
+        with pytest.raises(InvalidConfig, match="input"):
+            model.load_state(tensors)
+        # refused before any tensor is written
+        for (_name, arr), old in zip(model.state(), before, strict=True):
+            assert np.array_equal(arr, old)
+
+    def test_checkpoint_without_stats_refused_by_name(self, tmp_path):
+        # an unnormalized net's checkpoint has no input.* tensors
+        path = tmp_path / "old.wvpk"
+        save_checkpoint(Network(micro_schedule(), HAAR, "c", num_classes=4), path)
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4, **STATS)
+        with pytest.raises(ShapeMismatch, match=r"missing \['input.mean', 'input.std'\]"):
+            load_checkpoint(model, path)
+
+    def test_stats_round_trip_through_checkpoint(self, tmp_path, rng):
+        trained = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=3, **STATS)
+        path = tmp_path / "model.wvpk"
+        save_checkpoint(trained, path)
+        fresh = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=9,
+                        input_mean=(0.1, 0.2, 0.3), input_std=(1.0, 2.0, 3.0))
+        load_checkpoint(fresh, path)
+        x = Tensor(rng.uniform(size=(2, 3, 32, 32)))
+        assert np.array_equal(fresh(x).data, trained(x).data)
 
     def test_checkpoint_for_wrong_architecture_rejected(self, tmp_path):
         small = Network(micro_schedule(), HAAR, "c", num_classes=4)

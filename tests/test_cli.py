@@ -13,10 +13,15 @@ import struct
 import numpy as np
 import pytest
 
-from wavepool import analysis
+from wavepool import analysis, backbone
 from wavepool.cli import main
 from wavepool.config import config_hash, load_config
-from wavepool.data import LabeledImageSet, make_tiny_object_set, save_image_set
+from wavepool.data import (
+    LabeledImageSet,
+    encode_cifar_records,
+    make_tiny_object_set,
+    save_image_set,
+)
 from wavepool.filterbank import parse_wavelet
 from wavepool.imageio import read_image, write_pgm, write_ppm
 from wavepool.transforms import SubbandSet, dwt2d, idwt2d
@@ -317,6 +322,45 @@ class TestEval:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_checkpoint_without_input_stats_exits_2(self, trained_run, tmp_path, capsys):
+        # the trained checkpoint without its input.* tensors
+        old = tmp_path / "old.wvpk"
+        tensors = backbone.read_checkpoint(trained_run["checkpoint"])
+        net = backbone.Network(backbone.micro_schedule(), backbone.PoolKind("max"), "c", 2)
+        net.load_state({name: arr for name, arr in tensors.items()
+                        if not name.startswith("input.")})
+        backbone.save_checkpoint(net, old)
+        assert main(["eval", trained_run["config"], "--checkpoint", str(old)]) == 2
+        assert "missing ['input.mean', 'input.std']" in capsys.readouterr().err
+
+    def test_eval_and_consistency_read_no_training_split(self, tmp_path):
+        root = tmp_path / "cifar"
+        root.mkdir()
+        for split, n, seed in (("train", 20, 1), ("test", 10, 2)):
+            data = make_tiny_object_set(n, 32, 4, 4, seed=seed)
+            pixels = np.round(data.images * 255).astype(np.uint8)
+            (root / f"{split}.bin").write_bytes(
+                encode_cifar_records(data.labels, data.labels, pixels))
+        text = tiny_config_text(tmp_path / "runs", kind="cifar100", path="cifar")
+        cfg_path = write_config(tmp_path / "cifar.config", text)
+        digest = config_hash(load_config(cfg_path))
+        checkpoint = tmp_path / "runs" / f"run_{digest}" / "checkpoints" / "final.wvpk"
+        assert main(["train", cfg_path, "--data-dir", str(tmp_path)]) == 0
+        outputs = {}
+        for present in (True, False):
+            if not present:
+                (root / "train.bin").unlink()
+            for command in ("eval", "consistency"):
+                assert main([command, cfg_path, "--checkpoint", str(checkpoint),
+                             "--data-dir", str(tmp_path)]) == 0
+                csv = tmp_path / "runs" / f"{command}_{digest}.csv"
+                outputs[command, present] = csv.read_bytes()
+        for command in ("eval", "consistency"):
+            assert outputs[command, True] == outputs[command, False]
+        train_rows = read_metric_rows(tmp_path / "runs" / f"metrics_{digest}.csv")
+        eval_rows = read_metric_rows(tmp_path / "runs" / f"eval_{digest}.csv")
+        assert eval_rows["test_accuracy"][0] == train_rows["final_test_accuracy"][0]
+
 
 class TestDataDir:
     @pytest.fixture()
@@ -379,6 +423,35 @@ class TestCount:
             assert rows["flop_count"][0].is_integer()
             assert rows["param_count"][1] == "params"
             assert rows["flop_count"][1] == "flops@16x16"
+
+    @pytest.mark.parametrize("kind", ["file", "cifar100"])
+    def test_counts_the_network_train_builds(self, tmp_path, kind):
+        # channels, classes and input normalization come from the data: a
+        # 1-channel 16x16 image set, and CIFAR-100's 100-class head
+        if kind == "file":
+            rgb = make_tiny_object_set(20, 16, 2, 3, seed=7)
+            save_image_set(tmp_path / "gray.wvds",
+                           LabeledImageSet(rgb.images[:, :1], rgb.labels, rgb.class_count))
+            path = "gray.wvds"
+        else:
+            (tmp_path / "cifar").mkdir()
+            data = make_tiny_object_set(4, 32, 4, 4, seed=7)
+            pixels = np.round(data.images * 255).astype(np.uint8)
+            for split in ("train", "test"):
+                (tmp_path / "cifar" / f"{split}.bin").write_bytes(
+                    encode_cifar_records(data.labels, data.labels, pixels))
+            path = "cifar"
+        text = tiny_config_text(tmp_path / "runs", kind=kind, path=path)
+        cfg_path = write_config(tmp_path / f"{kind}.config", text)
+        assert main(["count", cfg_path, "--data-dir", str(tmp_path)]) == 0
+        cfg = load_config(cfg_path)
+        rows = read_metric_rows(tmp_path / "runs" / f"count_{config_hash(cfg)}.csv")
+        train_set = analysis.load_dataset(cfg, "train", str(tmp_path))
+        trained = analysis.build_model_from_config(cfg, train_set.class_count, train_set)
+        _n, c, h, w = train_set.images.shape
+        assert (c, trained.head.classes) == ((1, 3) if kind == "file" else (3, 100))
+        assert rows["param_count"][0] == backbone.count_params(trained)
+        assert rows["flop_count"] == (backbone.count_flops(trained, h, w), f"flops@{h}x{w}")
 
     def test_height_width_override(self, tmp_path):
         rows = self.count(tmp_path, "avg", extra=["--height", "8", "--width", "8"])

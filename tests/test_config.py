@@ -17,6 +17,7 @@ from wavepool.config import (
     parse_config,
     serialize_config,
 )
+from wavepool.data import make_tiny_object_set
 from wavepool.errors import InvalidConfig, ShapeMismatch, UnsupportedFormat
 from wavepool.imageio import read_image, write_pgm, write_ppm
 
@@ -173,16 +174,17 @@ class TestChoiceTables:
     @pytest.mark.parametrize("schedule", list(backbone.SCHEDULES))
     def test_every_schedule_builds(self, schedule):
         cfg = parse_config(f"[model]\nschedule = {schedule}\n")
-        model = build_model_from_config(cfg, num_classes=4)
+        model = build_model_from_config(cfg, 4, make_tiny_object_set(4, 16, 2, 4))
         assert backbone.count_params(model) > 0
 
     @pytest.mark.parametrize("variant", backbone.VARIANTS)
     @pytest.mark.parametrize("pad", ops.PAD_MODES)
     def test_every_variant_and_pad_runs(self, variant, pad):
         cfg = parse_config(f"[model]\nvariant = {variant}\nconv_pad = {pad}\n")
-        model = build_model_from_config(cfg, num_classes=4)
+        data = make_tiny_object_set(4, 16, 2, 4)
+        model = build_model_from_config(cfg, 4, data)
         with no_grad():
-            logits = model.forward(np.random.default_rng(0).uniform(size=(2, 3, 16, 16)))
+            logits = model.forward(data.images[:2])
         assert logits.shape == (2, 4) and np.all(np.isfinite(logits.data))
 
     @pytest.mark.parametrize("name", list(optim.LR_SCHEDULES))

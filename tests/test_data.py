@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavepool.analysis import spectrum_energy_fraction_above
 from wavepool.data import (
@@ -24,6 +26,7 @@ from wavepool.errors import (
     DatasetNotFound,
     InvalidConfig,
     UnsupportedFormat,
+    WavepoolError,
 )
 
 
@@ -235,3 +238,37 @@ class TestImageSetFormat:
                          + np.array([0, 1], dtype="<u4").tobytes())
         with pytest.raises(InvalidConfig, match=f"shape \\(2, {c}, {h}, {w}\\)"):
             load_image_set(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, tmp_path, bad):
+        # a NaN pixel would give NaN channel statistics, which pass a
+        # ``std <= 0`` test, and a network that returns all-zero logits
+        data = make_tiny_object_set(3, image_size=16, object_size=2, classes=2, seed=1)
+        data.images[1, 2, 3, 4] = bad
+        path = tmp_path / "set.wvds"
+        save_image_set(path, data)
+        with pytest.raises(CorruptDataset, match="non-finite"):
+            load_image_set(path)
+
+    @pytest.fixture(scope="class")
+    def saved_blob(self, tmp_path_factory):
+        """A small image set's bytes, and a directory to write variants to."""
+        data = make_tiny_object_set(3, image_size=16, object_size=2, classes=3, seed=1)
+        data = LabeledImageSet(data.images[:, :, :4, :4], data.labels, data.class_count)
+        path = tmp_path_factory.mktemp("imageset") / "set.wvds"
+        save_image_set(path, data)
+        return path.parent, path.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(bit=st.integers(min_value=0))
+    def test_single_bit_flip_loads_or_raises_named_error(self, saved_blob, bit):
+        folder, blob = saved_blob
+        flipped = bytearray(blob)
+        bit %= 8 * len(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path = folder / "flipped.wvds"
+        path.write_bytes(bytes(flipped))
+        try:
+            load_image_set(path)
+        except WavepoolError:
+            pass
