@@ -215,17 +215,6 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def _logits(model, images: np.ndarray, shift=(0, 0), batch_size: int = 100) -> np.ndarray:
-    """Eval-mode logits of ``images`` rolled circularly by ``shift`` (rows,
-    columns), forwarded ``batch_size`` at a time so that memory follows the
-    batch, not the set."""
-    with no_grad():
-        return np.concatenate([
-            model.forward(np.roll(images[start:start + batch_size], shift, axis=(2, 3)),
-                          training=False).data
-            for start in range(0, images.shape[0], batch_size)])
-
-
 def shift_consistency(model, dataset: LabeledImageSet, max_shift: int,
                       sample_limit: int = 0) -> MetricsReport:
     """Prediction stability under circular input shifts.
@@ -234,8 +223,7 @@ def shift_consistency(model, dataset: LabeledImageSet, max_shift: int,
     is rolled circularly and re-classified; the report carries the mean
     argmax agreement with the unshifted prediction and the mean cosine
     similarity of logits.  Circular shifts match the periodic convolution
-    semantics, making full-stride agreement an exact identity.  Images are
-    forwarded in batches, as ``evaluate`` does.
+    semantics, making full-stride agreement an exact identity.
     """
     if max_shift < 1:
         raise InvalidConfig(f"max_shift must be >= 1, got {max_shift}")
@@ -245,13 +233,16 @@ def shift_consistency(model, dataset: LabeledImageSet, max_shift: int,
     if sample_limit:
         images = images[:sample_limit]
     n = images.shape[0]
-    base = _logits(model, images)
+    with no_grad():
+        base = model.forward(images, training=False).data
     base_cls = base.argmax(axis=1)
     agree = []
     cosines = []
     for dr in range(1, max_shift + 1):
         for dc in range(1, max_shift + 1):
-            out = _logits(model, images, shift=(dr, dc))
+            shifted = np.roll(images, shift=(dr, dc), axis=(2, 3))
+            with no_grad():
+                out = model.forward(shifted, training=False).data
             agree.append(np.mean(out.argmax(axis=1) == base_cls))
             cosines.extend(_cosine(base[s], out[s]) for s in range(n))
     report = MetricsReport(metadata={"max_shift": str(max_shift), "samples": str(n)})
@@ -304,13 +295,17 @@ def _epoch_lr(cfg: ExperimentConfig, epoch: int) -> float:
 
 def evaluate(model, dataset: LabeledImageSet, batch_size: int = 100):
     """(mean cross-entropy, accuracy) over a dataset."""
-    logits = _logits(model, dataset.images, batch_size=batch_size)
     total_loss = 0.0
+    correct = 0
     n = len(dataset)
-    for start in range(0, n, batch_size):
-        y = dataset.labels[start:start + batch_size]
-        total_loss += softmax_cross_entropy(logits[start:start + batch_size], y).item() * len(y)
-    return total_loss / n, int(np.sum(logits.argmax(axis=1) == dataset.labels)) / n
+    with no_grad():
+        for start in range(0, n, batch_size):
+            x = dataset.images[start:start + batch_size]
+            y = dataset.labels[start:start + batch_size]
+            logits = model.forward(x, training=False)
+            total_loss += softmax_cross_entropy(logits, y).item() * len(y)
+            correct += int(np.sum(logits.data.argmax(axis=1) == y))
+    return total_loss / n, correct / n
 
 
 def train_model(cfg: ExperimentConfig, data_dir: str = "",

@@ -199,10 +199,6 @@ class _Layer:
                for key, t in self.tensors]
         return own + [item for part in self.parts for item in part.state()]
 
-    def check(self, **tensors):
-        """Refuse values of the layer's own ``tensors`` it cannot run with;
-        ``Network.load_state`` asks its top-level layers before writing."""
-
     def out_hw(self, h, w):
         return h, w
 
@@ -220,6 +216,8 @@ class _Normalize(_Layer):
         self.tensors = (("mean", self.mean), ("std", self.std))
 
     def check(self, mean, std):
+        """Refuse stats the layer cannot run with; ``Network.load_state``
+        asks before it writes any tensor."""
         if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
             raise InvalidConfig("input.mean must be finite and input.std finite and positive, "
                                 f"got {mean} and {std}")
@@ -509,8 +507,8 @@ class Network(_Layer):
                 f"checkpoint does not match model (missing {missing[:3]}, "
                 f"unexpected {extra[:3]})"
             )
-        for layer in self.parts:
-            layer.check(**{key: tensors[f"{layer.name}.{key}"] for key, _t in layer.tensors})
+        if isinstance(self.layers[0], _Normalize):
+            self.layers[0].check(tensors["input.mean"], tensors["input.std"])
         for name, arr in own:
             new = tensors[name]
             if new.shape != arr.shape:

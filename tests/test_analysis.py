@@ -2,7 +2,6 @@
 
 import json
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,21 +289,6 @@ class TestShiftConsistency:
         data = make_tiny_object_set(2, image_size=16, object_size=2, classes=2, seed=0)
         with pytest.raises(InvalidConfig):
             shift_consistency(model, data, max_shift=0)
-
-    def test_memory_follows_the_batch_not_the_set(self):
-        # images are forwarded 100 at a time, so 4x the images adds only
-        # their logits and cosines to the peak, not 4x the activations
-        schedule = StageSchedule(stages=((1, 4, True),), stem_channels=4, expansion=2)
-        model = Network(schedule, parse_pool("wavelet:haar"), "c", num_classes=4, seed=0)
-        data = make_tiny_object_set(800, image_size=16, object_size=2, classes=4, seed=0)
-        shift_consistency(model, data, max_shift=1, sample_limit=200)  # grows ops' scratch
-        peaks = {}
-        for n in (200, 800):
-            tracemalloc.start()
-            shift_consistency(model, data, max_shift=1, sample_limit=n)
-            peaks[n] = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-        assert peaks[800] <= peaks[200] + 128 * 1024
 
 
 class TestLoadDataset:

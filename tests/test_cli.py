@@ -361,6 +361,34 @@ class TestEval:
         eval_rows = read_metric_rows(tmp_path / "runs" / f"eval_{digest}.csv")
         assert eval_rows["test_accuracy"][0] == train_rows["final_test_accuracy"][0]
 
+    def test_constant_channel_test_split_takes_the_checkpoint_stats(self, tmp_path):
+        # the net is built with the test split's stats before the checkpoint's
+        # replace them; a channel with no spread there has its std floored, so
+        # the commands run on the checkpoint's stats
+        root = tmp_path / "cifar"
+        root.mkdir()
+        for split, n, seed in (("train", 20, 1), ("test", 10, 2)):
+            data = make_tiny_object_set(n, 32, 4, 4, seed=seed)
+            pixels = np.round(data.images * 255).astype(np.uint8)
+            if split == "test":
+                pixels[:, 0] = 128
+            (root / f"{split}.bin").write_bytes(
+                encode_cifar_records(data.labels, data.labels, pixels))
+        cfg_path = write_config(
+            tmp_path / "cifar.config",
+            tiny_config_text(tmp_path / "runs", kind="cifar100", path="cifar"))
+        cfg = load_config(cfg_path)
+        model = analysis.build_model_from_config(
+            cfg, 100, analysis.load_dataset(cfg, "train", str(tmp_path)))
+        checkpoint = tmp_path / "net.wvpk"
+        backbone.save_checkpoint(model, checkpoint)
+        for command in ("eval", "consistency"):
+            assert main([command, cfg_path, "--checkpoint", str(checkpoint),
+                         "--data-dir", str(tmp_path)]) == 0
+        rows = read_metric_rows(tmp_path / "runs" / f"eval_{config_hash(cfg)}.csv")
+        _loss, acc = analysis.evaluate(model, analysis.load_dataset(cfg, "test", str(tmp_path)))
+        assert rows["test_accuracy"][0] == acc
+
 
 class TestDataDir:
     @pytest.fixture()
