@@ -509,11 +509,13 @@ class Network(_Layer):
             )
         if isinstance(self.layers[0], _Normalize):
             self.layers[0].check(tensors["input.mean"], tensors["input.std"])
+        # every shape is checked before any tensor is written
         for name, arr in own:
             new = tensors[name]
             if new.shape != arr.shape:
                 raise ShapeMismatch(f"{name}: checkpoint shape {new.shape} != {arr.shape}")
-            arr[...] = new
+        for name, arr in own:
+            arr[...] = tensors[name]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ File formats handled here, byte-exact:
 - image-set flat binary (extension ``.wvds``): header magic ``WVDS``,
   u32 version (=1), u32 N, C, H, W, class_count, all little-endian; then
   N u32 labels; then N*C*H*W float64 little-endian pixels in [0,1].  A
-  file with a non-finite pixel is refused.
+  file with a non-finite pixel or one outside [0, 1] is refused.
 """
 
 from __future__ import annotations
@@ -242,6 +242,8 @@ def load_image_set(path) -> LabeledImageSet:
     images = np.frombuffer(blob, dtype="<f8", count=n * c * h * w, offset=28 + 4 * n)
     if not np.all(np.isfinite(images)):
         raise CorruptDataset(f"{path}: non-finite pixel values")
+    if images.min(initial=0.0) < 0.0 or images.max(initial=1.0) > 1.0:
+        raise CorruptDataset(f"{path}: pixel values outside [0, 1]")
     return LabeledImageSet(
         images=images.reshape(n, c, h, w).astype(np.float64),
         labels=labels,

@@ -24,19 +24,24 @@ than kept on the tape: keeping it measured only a small gain in step time
 for a 40% rise in peak memory.  A 1x1 stride-1 convolution skips the column
 matrix and multiplies each image's (C, H*W) block directly.
 
-The column matrix, dcols and the transposed cotangent ``g2`` are large
-(59 MB of columns at a (50, 16, 32, 32) 3x3 site), so rather than being
-allocated, page-faulted and freed on every call they live in a scratch
-table: one flat float64 buffer per slot, grown to the largest request and
-handed out as a reshaped prefix.  Only storage that dies inside one call may
-live there, since the next request for the slot overwrites it; for the same
-reason the table, shared by the whole process, allows no two convolutions
-to run at once in different threads (nothing here starts one).  Nothing a
-forward writes there is read by a backward (distillation runs the teacher's
-forward between the student's forward and backward), and the forward uses
-the table only when the op is recorded: the backward will need a buffer of
-that size anyway, while an unrecorded forward (evaluation, a teacher) keeps
-its memory to the call.
+The column matrix is k*k times the input (236 MB at a (200, 16, 32, 32) 3x3
+site), so forward, recorded or not, never builds it whole: it copies the
+columns of one block of whole images at a time into a small buffer,
+multiplies that into a small product buffer and copies the product into the
+block's slice of the NCHW output.  Blocks reproduce the one-GEMM bytes when
+each holds at least ``_BLOCK_BYTES`` of columns and starts at a column
+offset that is a multiple of 64, the remainder joining the last block; on
+OpenBLAS, blocks that broke these rules (evenly split blocks at Ho*Wo = 9 or
+25, a 16-column block with K = 576) changed bytes.
+
+Backward needs the whole column matrix, since splitting ``dw``'s reduction
+changes bytes.  It, dcols and the transposed cotangent ``g2`` live in a
+scratch table rather than being allocated, page-faulted and freed on every
+call: one flat float64 buffer per slot, grown to the largest request and
+handed out as a reshaped prefix.  Only storage that dies inside one backward
+may live there, since the next request for the slot overwrites it; for the
+same reason the table, shared by the whole process, allows no two backward
+passes to run at once in different threads (nothing here starts one).
 """
 
 from __future__ import annotations
@@ -52,6 +57,9 @@ from .errors import InputTooShort, InvalidHyperparameter, OddLengthInput, ShapeM
 PAD_MODES = ("circular", "same")
 BN_MOMENTUM = 0.1  # weight of the batch statistics in the running averages
 BN_EPS = 1e-5
+# least column bytes in one forward block; the forward measured fastest
+# with blocks of 2-4 MiB
+_BLOCK_BYTES = 4 << 20
 
 
 _scratch: dict[str, np.ndarray] = {}
@@ -69,6 +77,16 @@ def _scratch_view(slot: str, shape) -> np.ndarray:
         _scratch.pop(slot, None)  # free the smaller buffer before allocating
         _scratch[slot] = np.empty(size)
     return _scratch[slot][:size].reshape(shape)
+
+
+def _image_blocks(n: int, cols_per_image: int, k: int) -> list[tuple[int, int]]:
+    """(start, stop) images of each forward block: at least ``_BLOCK_BYTES``
+    of the (k, n * cols_per_image) column matrix, starting at a column that
+    is a multiple of 64; the remainder joins the last block."""
+    step = 64 // math.gcd(64, cols_per_image)
+    per = step * max(1, -(-_BLOCK_BYTES // (step * cols_per_image * k * 8)))
+    count = max(1, n // per)
+    return [(i * per, n if i == count - 1 else (i + 1) * per) for i in range(count)]
 
 
 def conv2d(x, w, b=None, stride: int = 1, *, pad: str) -> Tensor:
@@ -123,28 +141,27 @@ def conv2d(x, w, b=None, stride: int = 1, *, pad: str) -> Tensor:
     pointwise = kh == kw == stride == 1
 
     parents = (x, w) if b is None else (x, w, b)
-
-    def columns(scratch: bool):
-        sn, sc, sh, sw = xp.strides
-        view = as_strided(
-            xp,
-            shape=(C, kh, kw, N, Ho, Wo),
-            strides=(sc, sh, sw, sn, sh * stride, sw * stride),
-            writeable=False,
-        )
-        if not scratch:
-            return view.reshape(K, M)
-        cols = _scratch_view("cols", view.shape)
-        np.copyto(cols, view)
-        return cols.reshape(K, M)
+    sn, sc, sh, sw = xp.strides
+    view = as_strided(
+        xp,
+        shape=(C, kh, kw, N, Ho, Wo),
+        strides=(sc, sh, sw, sn, sh * stride, sw * stride),
+        writeable=False,
+    )
 
     if pointwise:
         out = (w2 @ xp.reshape(N, C, H * W)).reshape(N, F, H, W)
     else:
-        # no name holds the columns: a fresh column matrix is freed before
-        # the output is copied out
-        out = np.ascontiguousarray(
-            (w2 @ columns(is_recorded(parents))).reshape(F, N, Ho, Wo).transpose(1, 0, 2, 3))
+        out = np.empty((N, F, Ho, Wo))
+        blocks = _image_blocks(N, Ho * Wo, K)
+        largest = (N - blocks[-1][0]) * Ho * Wo
+        col_buf, prod_buf = np.empty(K * largest), np.empty(F * largest)
+        for n0, n1 in blocks:
+            m = (n1 - n0) * Ho * Wo
+            cols = col_buf[:K * m].reshape(K, m)
+            np.copyto(cols.reshape(C, kh, kw, n1 - n0, Ho, Wo), view[:, :, :, n0:n1])
+            prod = np.matmul(w2, cols, out=prod_buf[:F * m].reshape(F, m))
+            out[n0:n1] = prod.reshape(F, n1 - n0, Ho, Wo).transpose(1, 0, 2, 3)
     if b is not None:
         out += b.data[None, :, None, None]
 
@@ -152,7 +169,11 @@ def conv2d(x, w, b=None, stride: int = 1, *, pad: str) -> Tensor:
         g2 = _scratch_view("g2", (F, N, Ho, Wo))
         np.copyto(g2, g.transpose(1, 0, 2, 3))
         g2 = g2.reshape(F, M)
-        dw = (g2 @ columns(True).T).reshape(w.shape) if w.requires_grad else None
+        dw = None
+        if w.requires_grad:
+            cols = _scratch_view("cols", view.shape)
+            np.copyto(cols, view)
+            dw = (g2 @ cols.reshape(K, M).T).reshape(w.shape)
         dx = None
         if x.requires_grad and pointwise:
             dx = (w2.T @ g.reshape(N, F, H * W)).reshape(N, C, H, W)
@@ -208,9 +229,11 @@ def batchnorm2d(
         n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
         mu = x.data.mean(axis=(0, 2, 3))
         # the centred values serve both the variance and xhat; the sum of
-        # squares over n rounds exactly as ndarray.var does
+        # squares over n rounds exactly as ndarray.var does.  The output
+        # buffer holds the squares until it takes gamma * xhat
         xhat = x.data - mu[None, :, None, None]
-        var = (xhat * xhat).sum(axis=(0, 2, 3)) / n
+        out = np.multiply(xhat, xhat)
+        var = out.sum(axis=(0, 2, 3)) / n
         running_mean *= 1.0 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mu
         var_unbiased = var * (n / (n - 1)) if n > 1 else var
@@ -220,10 +243,13 @@ def batchnorm2d(
         n = 0
         xhat = x.data - running_mean[None, :, None, None]
         var = running_var
+        out = None
 
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat
+    if not is_recorded((x, gamma, beta)):
+        out = xhat  # no backward reads xhat, so the output overwrites it
+    out = np.multiply(gamma.data[None, :, None, None], xhat, out=out)
     out += beta.data[None, :, None, None]
 
     def backward_fn(g):
@@ -253,12 +279,15 @@ def batchnorm2d(
 
 def relu(x) -> Tensor:
     x = _as_tensor(x)
-    mask = x.data > 0
+    # fmax drops NaN and adding +0.0 turns -0.0 into 0.0, so this matches
+    # np.where(x > 0, x, 0.0) in one pass
+    out = np.fmax(x.data, 0.0)
+    out += 0.0
 
     def backward_fn(g):
-        return (g * mask,)
+        return (g * (x.data > 0),)
 
-    return make_op(np.where(mask, x.data, 0.0), (x,), backward_fn)
+    return make_op(out, (x,), backward_fn)
 
 
 def linear(x, w, b) -> Tensor:

@@ -605,6 +605,16 @@ class TestCheckpoints:
         for (_name, arr), old in zip(model.state(), before, strict=True):
             assert np.array_equal(arr, old)
 
+    def test_bad_last_shape_refused_before_any_write(self):
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=1, **STATS)
+        before = [arr.tobytes() for _name, arr in model.state()]
+        tensors = {name: arr + 1.0 for name, arr in model.state()}
+        assert list(tensors)[-1] == "head.fc.bias"
+        tensors["head.fc.bias"] = np.zeros(7)
+        with pytest.raises(ShapeMismatch, match="head.fc.bias"):
+            model.load_state(tensors)
+        assert [arr.tobytes() for _name, arr in model.state()] == before
+
     def test_checkpoint_without_stats_refused_by_name(self, tmp_path):
         # an unnormalized net's checkpoint has no input.* tensors
         path = tmp_path / "old.wvpk"

@@ -1,9 +1,12 @@
 """Config parsing/serialization and PGM/PPM image files."""
 
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavepool import backbone, ops, optim
 from wavepool.analysis import build_model_from_config
@@ -18,7 +21,7 @@ from wavepool.config import (
     serialize_config,
 )
 from wavepool.data import make_tiny_object_set
-from wavepool.errors import InvalidConfig, ShapeMismatch, UnsupportedFormat
+from wavepool.errors import InvalidConfig, ShapeMismatch, UnsupportedFormat, WavepoolError
 from wavepool.imageio import read_image, write_pgm, write_ppm
 
 SAMPLE = """
@@ -305,3 +308,55 @@ class TestImageIo:
             write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 2)))
         with pytest.raises(ShapeMismatch):
             write_ppm(tmp_path / "x.ppm", np.zeros((4, 4)))
+
+
+@st.composite
+def _netpbm_files(draw):
+    """A valid binary P5/P6 file of either maxval, its raster random."""
+    magic = draw(st.sampled_from([b"P5", b"P6"]))
+    maxval = draw(st.sampled_from([255, 65535]))
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    nbytes = width * height * (1 if magic == b"P5" else 3) * (1 if maxval == 255 else 2)
+    raster = draw(st.binary(min_size=nbytes, max_size=nbytes))
+    return magic + b"\n%d %d\n%d\n" % (width, height, maxval) + raster
+
+
+class TestImageIoProperties:
+    """Damaged PGM/PPM files read as an array in [0, 1] of the shape their
+    header states, or fail with a named WavepoolError."""
+
+    @pytest.fixture(scope="class")
+    def folder(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("netpbm")
+
+    @staticmethod
+    def _read_or_refuse(folder, blob):
+        path = folder / "damaged.pnm"
+        path.write_bytes(blob)
+        try:
+            img = read_image(path)
+        except WavepoolError:
+            return
+        assert img.min() >= 0.0 and img.max() <= 1.0
+        header = re.match(rb"P([56])\s(\d+)\s(\d+)\s", blob)
+        if header:  # the header still reads as written: its shape holds
+            shape = (int(header[3]), int(header[2]))
+            assert img.shape == (shape if header[1] == b"5" else (3, *shape))
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=_netpbm_files(), bit=st.integers(min_value=0))
+    def test_single_bit_flip(self, folder, blob, bit):
+        flipped = bytearray(blob)
+        bit %= 8 * len(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        self._read_or_refuse(folder, bytes(flipped))
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=_netpbm_files(), cut=st.integers(min_value=0))
+    def test_cut_file(self, folder, blob, cut):
+        self._read_or_refuse(folder, blob[:cut % len(blob)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(blob=_netpbm_files(), pad=st.binary(min_size=1, max_size=16))
+    def test_padded_file(self, folder, blob, pad):
+        self._read_or_refuse(folder, blob + pad)

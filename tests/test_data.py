@@ -1,5 +1,6 @@
 """Dataset loading, synthesis, and the two binary formats."""
 
+import re
 import struct
 
 import numpy as np
@@ -250,6 +251,17 @@ class TestImageSetFormat:
         with pytest.raises(CorruptDataset, match="non-finite"):
             load_image_set(path)
 
+    @pytest.mark.parametrize("bad", [7.19e307, -0.5])
+    def test_pixel_outside_unit_range_rejected(self, tmp_path, bad):
+        # 7.19e307 is a pixel with one exponent bit flipped; it would
+        # overflow the channel std to inf
+        data = make_tiny_object_set(3, image_size=16, object_size=2, classes=2, seed=1)
+        data.images[1, 2, 3, 4] = bad
+        path = tmp_path / "set.wvds"
+        save_image_set(path, data)
+        with pytest.raises(CorruptDataset, match=re.escape(f"{path}: pixel values outside")):
+            load_image_set(path)
+
     @pytest.fixture(scope="class")
     def saved_blob(self, tmp_path_factory):
         """A small image set's bytes, and a directory to write variants to."""
@@ -269,6 +281,7 @@ class TestImageSetFormat:
         path = folder / "flipped.wvds"
         path.write_bytes(bytes(flipped))
         try:
-            load_image_set(path)
+            images = load_image_set(path).images
         except WavepoolError:
-            pass
+            return
+        assert images.min() >= 0.0 and images.max() <= 1.0
