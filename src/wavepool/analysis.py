@@ -26,7 +26,7 @@ from . import backbone as bb
 from .autodiff import Tensor, make_rng, no_grad
 from .config import ExperimentConfig, config_hash, serialize_config
 from .data import LabeledImageSet, load_cifar100, load_image_set, make_tiny_object_set
-from .errors import InputTooLarge, InvalidConfig, MissingArtifact
+from .errors import InputTooLarge, InvalidConfig, InvalidHyperparameter, MissingArtifact
 from .ops import kd_loss, softmax_cross_entropy
 from .optim import LR_SCHEDULES, sgd_step, zero_grads
 from .pooling import PoolKind, parse_pool
@@ -295,6 +295,8 @@ def _epoch_lr(cfg: ExperimentConfig, epoch: int) -> float:
 
 def evaluate(model, dataset: LabeledImageSet, batch_size: int = 100):
     """(mean cross-entropy, accuracy) over a dataset."""
+    if batch_size < 1:
+        raise InvalidHyperparameter(f"batch_size must be >= 1, got {batch_size}")
     total_loss = 0.0
     correct = 0
     n = len(dataset)

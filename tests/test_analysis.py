@@ -31,6 +31,7 @@ from wavepool.errors import (
     DatasetNotFound,
     InputTooLarge,
     InvalidConfig,
+    InvalidHyperparameter,
     MissingArtifact,
 )
 from wavepool.filterbank import parse_wavelet
@@ -414,3 +415,10 @@ class TestExperimentRuns:
         loss, acc = evaluate(model, data, batch_size=4)
         assert loss > 0.0
         assert 0.0 <= acc <= 1.0
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_evaluate_refuses_non_positive_batch_size(self, batch_size):
+        model = Network(micro_schedule(), parse_pool("max"), "c", num_classes=2, seed=0)
+        data = make_tiny_object_set(4, image_size=16, object_size=2, classes=2, seed=1)
+        with pytest.raises(InvalidHyperparameter, match="batch_size"):
+            evaluate(model, data, batch_size=batch_size)

@@ -8,18 +8,22 @@ library's own layer objects.
 """
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _gradcheck import gradcheck
 from wavepool.autodiff import Parameter, Tensor, make_rng, no_grad
 from wavepool.backbone import (
+    EVAL_CHUNK,
     VARIANTS,
     Block,
     Network,
     StageSchedule,
+    _Layer,
     _run,
     bottom_heavy,
     count_flops,
@@ -31,7 +35,7 @@ from wavepool.backbone import (
     save_checkpoint,
 )
 from wavepool.errors import InvalidConfig, ShapeMismatch, UnsupportedFormat, WavepoolError
-from wavepool.ops import softmax_cross_entropy
+from wavepool.ops import global_avg_pool, softmax_cross_entropy
 from wavepool.pooling import PoolKind, parse_pool
 
 # input statistics the network refuses: a non-finite mean, a std that is
@@ -490,6 +494,116 @@ class TestNetwork:
         bad_shape["stem.conv.weight"] = np.zeros((1, 1, 1, 1))
         with pytest.raises(ShapeMismatch):
             model.load_state(bad_shape)
+
+
+class _BatchSizes(_Layer):
+    """An identity layer recording the batch size of every call."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __call__(self, x, training):
+        self.sizes.append(x.shape[0])
+        return x
+
+    def flops(self, h, w):
+        return 0
+
+
+def spied(model):
+    """``model`` with a _BatchSizes layer first; returns the spy."""
+    spy = _BatchSizes()
+    model.layers.insert(0, spy)
+    model.parts.insert(0, spy)
+    return spy
+
+
+class TestChunkedEvalForward:
+    """An eval forward that records no tape runs the layers in chunks of
+    EVAL_CHUNK images and the classifier once over the whole batch."""
+
+    RAGGED = 2 * EVAL_CHUNK + 3
+
+    def test_equals_classifier_of_per_chunk_features(self, rng):
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=1, **STATS)
+        spy = spied(model)
+        x = rng.uniform(size=(self.RAGGED, 3, 16, 16))
+        with no_grad():
+            got = model(x).data
+            assert spy.sizes == [EVAL_CHUNK, EVAL_CHUNK, 3]
+            features = [global_avg_pool(_run(model.layers, Tensor(x[i:i + EVAL_CHUNK]),
+                                             False)).data
+                        for i in range(0, len(x), EVAL_CHUNK)]
+            want = model.head.classify(Tensor(np.concatenate(features))).data
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("pool, variant, pad", [
+        ("wavelet:haar", "c", "circular"), ("wavelet:db4", "b", "same"),
+        ("max", "a", "same"), ("blur", "c", "circular"), ("strided", "a", "circular"),
+    ])
+    def test_equals_whole_batch_bytes_at_32x32(self, rng, pool, variant, pad):
+        model = Network(micro_schedule(), parse_pool(pool), variant, num_classes=10, seed=2,
+                        conv_pad=pad, **STATS)
+        x = rng.uniform(size=(self.RAGGED, 3, 32, 32))
+        with no_grad():
+            assert model(x).data.tobytes() == _run(model.parts, Tensor(x), False).data.tobytes()
+
+    def test_training_forward_updates_running_stats_once_from_whole_batch(self, rng):
+        x = rng.uniform(size=(self.RAGGED, 3, 16, 16))
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=3, **STATS)
+        reference = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=3, **STATS)
+        spy = spied(model)
+        with no_grad():
+            got = model(x, training=True).data
+            want = _run(reference.parts, Tensor(x), True).data
+        assert spy.sizes == [self.RAGGED]
+        assert got.tobytes() == want.tobytes()
+        for (name, a), (_name, b) in zip(model.state(), reference.state(), strict=True):
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_recorded_eval_forward_builds_one_tape(self, rng):
+        sched = StageSchedule(stages=((1, 2, True),), stem_channels=2, expansion=1)
+        # no input normalization: it is a constant map outside the tape
+        model = Network(sched, HAAR, "c", num_classes=3, seed=4)
+        spy = spied(model)
+        x = rng.uniform(size=(EVAL_CHUNK + 2, 3, 8, 8))
+        gradcheck(lambda t: model(t, training=False), x, rng=rng)
+        assert set(spy.sizes) == {EVAL_CHUNK + 2}
+
+    def test_empty_batch_gives_empty_logits(self):
+        model = Network(micro_schedule(), HAAR, "c", num_classes=5, seed=1)
+        x = np.zeros((0, 3, 32, 32))
+        with no_grad():
+            assert model(x).shape == (0, 5)
+        assert model(x).shape == (0, 5)
+
+    def test_memory_does_not_grow_with_the_batch(self, rng):
+        """Past the input, only the pooled features and the logits grow."""
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=5, **STATS)
+        small, large = (rng.uniform(size=(n, 3, 16, 16)) for n in (200, 800))
+
+        def peak(x):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                model(x)
+            return tracemalloc.get_traced_memory()[1] - before
+
+        with no_grad():
+            model(small)
+        tracemalloc.start()
+        try:
+            # the least peak of three interleaved rounds: CPython now and then
+            # rebuilds its interned-string table (about 2 MB here), at a time
+            # set by the whole process's history; rebuilds come thousands of
+            # chunks apart, so one can land in one round only
+            small_peak, large_peak = map(min, zip(*[(peak(small), peak(large))
+                                                    for _round in range(3)]))
+        finally:
+            tracemalloc.stop()
+        grown = (len(large) - len(small)) * (model.head.ch + model.head.classes) * 8
+        # one whole-batch activation of the 600 extra images would be 39 MB
+        assert large_peak <= small_peak + grown + (256 << 10)
 
 
 class TestCheckpoints:

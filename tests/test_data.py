@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavepool.analysis import spectrum_energy_fraction_above
@@ -103,6 +103,42 @@ class TestCifarLoader:
     def test_bad_split_rejected(self, tmp_path):
         with pytest.raises(InvalidConfig):
             load_cifar100(tmp_path, "validation")
+
+    @pytest.fixture(scope="class")
+    def saved_blob(self, tmp_path_factory):
+        """Two records' bytes, and a directory to write variants to."""
+        return tmp_path_factory.mktemp("cifar"), make_cifar_fixture_bytes(n=2)
+
+    @staticmethod
+    def loads_in_range_or_raises_corrupt(path):
+        try:
+            data = load_cifar100(path, "train")
+        except CorruptDataset:
+            return
+        assert data.labels.max() < 100
+        assert data.images.min() >= 0.0 and data.images.max() <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(bit=st.integers(min_value=0))
+    def test_single_bit_flip_loads_or_raises_corrupt(self, saved_blob, bit):
+        folder, blob = saved_blob
+        flipped = bytearray(blob)
+        bit %= 8 * len(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path = folder / "flipped.bin"
+        path.write_bytes(bytes(flipped))
+        self.loads_in_range_or_raises_corrupt(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cut=st.integers(min_value=0), tail=st.binary(min_size=1, max_size=16))
+    @example(cut=CIFAR_RECORD_BYTES, tail=bytes(CIFAR_RECORD_BYTES))  # whole records
+    @example(cut=0, tail=bytes([0, 100]) + bytes(CIFAR_RECORD_BYTES - 2))  # fine label 100
+    def test_cut_or_padded_file_loads_or_raises_corrupt(self, saved_blob, cut, tail):
+        folder, blob = saved_blob
+        path = folder / "resized.bin"
+        for resized in (blob[:cut % len(blob)], blob + tail):
+            path.write_bytes(resized)
+            self.loads_in_range_or_raises_corrupt(path)
 
 
 class TestTinyObjectSet:
