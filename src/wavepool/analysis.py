@@ -26,7 +26,7 @@ from . import backbone as bb
 from .autodiff import Tensor, make_rng, no_grad
 from .config import ExperimentConfig, config_hash, serialize_config
 from .data import LabeledImageSet, load_cifar100, load_image_set, make_tiny_object_set
-from .errors import InputTooLarge, InvalidConfig, InvalidHyperparameter, MissingArtifact
+from .errors import InputTooLarge, InvalidConfig, MissingArtifact
 from .ops import kd_loss, softmax_cross_entropy
 from .optim import LR_SCHEDULES, sgd_step, zero_grads
 from .pooling import PoolKind, parse_pool
@@ -254,6 +254,10 @@ def shift_consistency(model, dataset: LabeledImageSet, max_shift: int,
 # ---------------------------------------------------------------------------
 # experiment driver
 
+# images per forward in ``evaluate``; the classifier runs one GEMM per
+# forward, so the logits' bytes depend on it
+EVAL_BATCH = 100
+
 
 def load_dataset(cfg: ExperimentConfig, split: str, data_dir: str = "") -> LabeledImageSet:
     ds = cfg.dataset
@@ -274,9 +278,7 @@ def build_model_from_config(cfg: ExperimentConfig, num_classes: int,
                             data: LabeledImageSet, pool: str | None = None) -> bb.Network:
     """The configured network over ``data``'s channels, its input normalized
     by ``data``'s channel stats (until a checkpoint replaces them)."""
-    schedule = bb.SCHEDULES[cfg.model.schedule]()
-    if cfg.model.bottom_heavy_shift:
-        schedule = bb.bottom_heavy(schedule, cfg.model.bottom_heavy_shift)
+    schedule = bb.bottom_heavy(bb.SCHEDULES[cfg.model.schedule](), cfg.model.bottom_heavy_shift)
     mean, std = data.channel_stats()
     return bb.Network(
         schedule,
@@ -293,17 +295,16 @@ def _epoch_lr(cfg: ExperimentConfig, epoch: int) -> float:
     return LR_SCHEDULES[cfg.train.lr_schedule](cfg.train, epoch)
 
 
-def evaluate(model, dataset: LabeledImageSet, batch_size: int = 100):
-    """(mean cross-entropy, accuracy) over a dataset."""
-    if batch_size < 1:
-        raise InvalidHyperparameter(f"batch_size must be >= 1, got {batch_size}")
+def evaluate(model, dataset: LabeledImageSet):
+    """(mean cross-entropy, accuracy) over a dataset, forwarded in batches
+    of ``EVAL_BATCH`` images."""
     total_loss = 0.0
     correct = 0
     n = len(dataset)
     with no_grad():
-        for start in range(0, n, batch_size):
-            x = dataset.images[start:start + batch_size]
-            y = dataset.labels[start:start + batch_size]
+        for start in range(0, n, EVAL_BATCH):
+            x = dataset.images[start:start + EVAL_BATCH]
+            y = dataset.labels[start:start + EVAL_BATCH]
             logits = model.forward(x, training=False)
             total_loss += softmax_cross_entropy(logits, y).item() * len(y)
             correct += int(np.sum(logits.data.argmax(axis=1) == y))

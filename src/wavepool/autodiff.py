@@ -8,8 +8,9 @@ and accumulates ``.grad`` arrays on every leaf that requires gradient.
 
 The operators a Tensor defines itself are the same-shape ``+`` of the
 residual connection and scaling by a constant.  Every other differentiable
-op (convolution, batchnorm, pooling, the losses) lives in ``ops`` and
-``pooling`` and records its node through ``make_op``.
+op (convolution, batchnorm, pooling, the losses, input normalization) lives
+in ``ops``, ``pooling`` or ``backbone`` and records its node through
+``make_op``.
 
 Everything runs in double precision: a Tensor stores its data as float64
 whatever the input dtype, and the correctness tolerances assume it.

@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, is_recorded, make_rng
+from .autodiff import Parameter, Tensor, is_recorded, make_op, make_rng
 from .errors import InvalidConfig, ShapeMismatch, UnsupportedFormat
 from .ops import PAD_MODES, batchnorm2d, conv2d, global_avg_pool, linear, relu
 from .pooling import PoolKind
@@ -227,8 +227,9 @@ class _Normalize(_Layer):
                                 f"got {mean} and {std}")
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return Tensor((x.data + -self.mean[None, :, None, None])
-                      * (1.0 / self.std[None, :, None, None]))
+        scale = 1.0 / self.std[None, :, None, None]
+        out = (x.data + -self.mean[None, :, None, None]) * scale
+        return make_op(out, (x,), lambda g: (g * scale,))
 
     def flops(self, h, w) -> int:
         return 2 * self.mean.size * h * w

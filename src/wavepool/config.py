@@ -5,9 +5,10 @@ pairs, blank lines and ``#`` comments ignored.  Unknown sections or keys
 are rejected rather than silently dropped, so a typo cannot quietly change
 an experiment; so are non-finite floats, pool strings that do not parse,
 choices missing from the table of the module that owns them (named below),
-and ``[train]`` values the run would refuse only once its data is read
-(a negative lr or period, lr_min above lr under cosine, a non-positive
-step factor, a kd alpha outside [0, 1] or a non-positive temperature).
+and values the run would refuse only once its data is read (a
+``bottom_heavy_shift`` the schedule cannot take; a negative lr or period,
+lr_min above lr under cosine, a non-positive step factor, a kd alpha
+outside [0, 1] or a non-positive temperature).
 ``serialize_config(parse_config(text))`` is the identity on canonical
 form, and the canonical text is what gets hashed into output file names,
 so a config hash pins the exact experiment.
@@ -48,7 +49,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields
 
-from .backbone import SCHEDULES, VARIANTS
+from .backbone import SCHEDULES, VARIANTS, bottom_heavy
 from .errors import InvalidConfig, InvalidHyperparameter, UnsupportedWavelet
 from .ops import PAD_MODES
 from .optim import LR_SCHEDULES
@@ -209,6 +210,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.dataset.kind in ("cifar100", "file") and not cfg.dataset.path:
         raise InvalidConfig(f"dataset kind {cfg.dataset.kind!r} requires a path")
     t.milestone_list()
+    try:
+        bottom_heavy(SCHEDULES[cfg.model.schedule](), cfg.model.bottom_heavy_shift)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"[model] bottom_heavy_shift: {exc}") from None
     for key, text in (("[model] pool", cfg.model.pool), ("[train] teacher_pool", t.teacher_pool)):
         try:
             parse_pool(text)

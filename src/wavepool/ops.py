@@ -24,15 +24,10 @@ than kept on the tape: keeping it measured only a small gain in step time
 for a 40% rise in peak memory.  A 1x1 stride-1 convolution skips the column
 matrix and multiplies each image's (C, H*W) block directly.
 
-The column matrix is k*k times the input (236 MB at a (200, 16, 32, 32) 3x3
-site), so forward, recorded or not, never builds it whole: it copies the
-columns of one block of whole images at a time into a small buffer,
-multiplies that into a small product buffer and copies the product into the
-block's slice of the NCHW output.  Blocks reproduce the one-GEMM bytes when
-each holds at least ``_BLOCK_BYTES`` of columns and starts at a column
-offset that is a multiple of 64, the remainder joining the last block; on
-OpenBLAS, blocks that broke these rules (evenly split blocks at Ho*Wo = 9 or
-25, a 16-column block with K = 576) changed bytes.
+Forward builds the whole column matrix of its batch.  Nothing in conv2d
+bounds its size, and nothing needs to: unrecorded eval forwards are chunked
+by ``Network.forward``, and a recorded forward's backward rebuilds the
+columns at the same size anyway.
 
 Backward needs the whole column matrix, since splitting ``dw``'s reduction
 changes bytes.  It, dcols and the transposed cotangent ``g2`` live in a
@@ -57,9 +52,6 @@ from .errors import InputTooShort, InvalidHyperparameter, OddLengthInput, ShapeM
 PAD_MODES = ("circular", "same")
 BN_MOMENTUM = 0.1  # weight of the batch statistics in the running averages
 BN_EPS = 1e-5
-# least column bytes in one forward block; the forward measured fastest
-# with blocks of 2-4 MiB
-_BLOCK_BYTES = 4 << 20
 
 
 _scratch: dict[str, np.ndarray] = {}
@@ -77,16 +69,6 @@ def _scratch_view(slot: str, shape) -> np.ndarray:
         _scratch.pop(slot, None)  # free the smaller buffer before allocating
         _scratch[slot] = np.empty(size)
     return _scratch[slot][:size].reshape(shape)
-
-
-def _image_blocks(n: int, cols_per_image: int, k: int) -> list[tuple[int, int]]:
-    """(start, stop) images of each forward block: at least ``_BLOCK_BYTES``
-    of the (k, n * cols_per_image) column matrix, starting at a column that
-    is a multiple of 64; the remainder joins the last block."""
-    step = 64 // math.gcd(64, cols_per_image)
-    per = step * max(1, -(-_BLOCK_BYTES // (step * cols_per_image * k * 8)))
-    count = max(1, n // per)
-    return [(i * per, n if i == count - 1 else (i + 1) * per) for i in range(count)]
 
 
 def conv2d(x, w, b=None, stride: int = 1, *, pad: str) -> Tensor:
@@ -152,16 +134,10 @@ def conv2d(x, w, b=None, stride: int = 1, *, pad: str) -> Tensor:
     if pointwise:
         out = (w2 @ xp.reshape(N, C, H * W)).reshape(N, F, H, W)
     else:
-        out = np.empty((N, F, Ho, Wo))
-        blocks = _image_blocks(N, Ho * Wo, K)
-        largest = (N - blocks[-1][0]) * Ho * Wo
-        col_buf, prod_buf = np.empty(K * largest), np.empty(F * largest)
-        for n0, n1 in blocks:
-            m = (n1 - n0) * Ho * Wo
-            cols = col_buf[:K * m].reshape(K, m)
-            np.copyto(cols.reshape(C, kh, kw, n1 - n0, Ho, Wo), view[:, :, :, n0:n1])
-            prod = np.matmul(w2, cols, out=prod_buf[:F * m].reshape(F, m))
-            out[n0:n1] = prod.reshape(F, n1 - n0, Ho, Wo).transpose(1, 0, 2, 3)
+        # no name holds the columns: they are freed before the output is
+        # copied out
+        out = np.ascontiguousarray(
+            (w2 @ view.reshape(K, M)).reshape(F, N, Ho, Wo).transpose(1, 0, 2, 3))
     if b is not None:
         out += b.data[None, :, None, None]
 

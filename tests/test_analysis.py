@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wavepool.analysis import (
+    EVAL_BATCH,
     MetricsReport,
     _epoch_lr,
     alias_energy_sweep,
@@ -18,6 +19,7 @@ from wavepool.analysis import (
     spectrum_energy_fraction_above,
     train_model,
 )
+from wavepool.autodiff import no_grad
 from wavepool.backbone import (
     Network,
     StageSchedule,
@@ -31,7 +33,6 @@ from wavepool.errors import (
     DatasetNotFound,
     InputTooLarge,
     InvalidConfig,
-    InvalidHyperparameter,
     MissingArtifact,
 )
 from wavepool.filterbank import parse_wavelet
@@ -409,16 +410,19 @@ class TestExperimentRuns:
             train_model(parse_config(text))[1]
 
     def test_evaluate_bounds(self):
-        model = Network(micro_schedule(), parse_pool("max"), "c",
-                        num_classes=2, seed=0)
-        data = make_tiny_object_set(10, image_size=16, object_size=2, classes=2, seed=1)
-        loss, acc = evaluate(model, data, batch_size=4)
-        assert loss > 0.0
-        assert 0.0 <= acc <= 1.0
-
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_evaluate_refuses_non_positive_batch_size(self, batch_size):
+        """The per-image mean of cross-entropy and accuracy over a set whose
+        last batch is ragged."""
         model = Network(micro_schedule(), parse_pool("max"), "c", num_classes=2, seed=0)
-        data = make_tiny_object_set(4, image_size=16, object_size=2, classes=2, seed=1)
-        with pytest.raises(InvalidHyperparameter, match="batch_size"):
-            evaluate(model, data, batch_size=batch_size)
+        data = make_tiny_object_set(EVAL_BATCH + 30, image_size=16, object_size=2,
+                                    classes=2, seed=1)
+        sizes, forward = [], model.forward
+        model.forward = lambda x, training: sizes.append(len(x)) or forward(x, training)
+        loss, acc = evaluate(model, data)
+        assert sizes == [EVAL_BATCH, 30]
+        with no_grad():
+            z = forward(data.images).data
+        logp = z - z.max(axis=1, keepdims=True)
+        logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+        assert loss == pytest.approx(-logp[np.arange(len(data)), data.labels].mean(), rel=1e-12)
+        assert acc == np.mean(z.argmax(axis=1) == data.labels)
+        assert loss > 0.0 and 0.0 < acc < 1.0

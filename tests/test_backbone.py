@@ -415,6 +415,10 @@ class TestNetwork:
             1.0 / np.asarray(std)[None, :, None, None])
         assert np.array_equal(norm(Tensor(x)).data, plain(Tensor(xb)).data)
 
+    def test_normalized_net_passes_gradient_to_its_input(self, rng):
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=2, **STATS)
+        gradcheck(lambda t: model(t), rng.uniform(size=(2, 3, 16, 16)), rng=rng)
+
     def test_odd_dim_error_names_offending_layer(self):
         model = Network(micro_schedule(), HAAR, "c", num_classes=4)
         with pytest.raises(InvalidConfig, match="stage3.block0"):
@@ -563,8 +567,7 @@ class TestChunkedEvalForward:
 
     def test_recorded_eval_forward_builds_one_tape(self, rng):
         sched = StageSchedule(stages=((1, 2, True),), stem_channels=2, expansion=1)
-        # no input normalization: it is a constant map outside the tape
-        model = Network(sched, HAAR, "c", num_classes=3, seed=4)
+        model = Network(sched, HAAR, "c", num_classes=3, seed=4, **STATS)
         spy = spied(model)
         x = rng.uniform(size=(EVAL_CHUNK + 2, 3, 8, 8))
         gradcheck(lambda t: model(t, training=False), x, rng=rng)
@@ -577,11 +580,14 @@ class TestChunkedEvalForward:
             assert model(x).shape == (0, 5)
         assert model(x).shape == (0, 5)
 
-    def test_memory_does_not_grow_with_the_batch(self, rng):
-        """Past the input, only the pooled features and the logits grow."""
-        model = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=5, **STATS)
-        small, large = (rng.uniform(size=(n, 3, 16, 16)) for n in (200, 800))
-
+    @staticmethod
+    def least_peaks(model, *batches):
+        """For each batch, the least ``tracemalloc`` peak above the memory
+        live before it of a no_grad forward, over three interleaved rounds
+        after one warm forward: CPython now and then rebuilds its
+        interned-string table (about 2 MB here), at a time set by the whole
+        process's history; rebuilds come thousands of chunks apart, so one
+        can land in one round only."""
         def peak(x):
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
@@ -590,20 +596,30 @@ class TestChunkedEvalForward:
             return tracemalloc.get_traced_memory()[1] - before
 
         with no_grad():
-            model(small)
+            model(batches[0])
         tracemalloc.start()
         try:
-            # the least peak of three interleaved rounds: CPython now and then
-            # rebuilds its interned-string table (about 2 MB here), at a time
-            # set by the whole process's history; rebuilds come thousands of
-            # chunks apart, so one can land in one round only
-            small_peak, large_peak = map(min, zip(*[(peak(small), peak(large))
-                                                    for _round in range(3)]))
+            return list(map(min, zip(*[[peak(x) for x in batches] for _round in range(3)])))
         finally:
             tracemalloc.stop()
+
+    def test_memory_does_not_grow_with_the_batch(self, rng):
+        """Past the input, only the pooled features and the logits grow."""
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=5, **STATS)
+        small, large = (rng.uniform(size=(n, 3, 16, 16)) for n in (200, 800))
+        small_peak, large_peak = self.least_peaks(model, small, large)
         grown = (len(large) - len(small)) * (model.head.ch + model.head.classes) * 8
         # one whole-batch activation of the 600 extra images would be 39 MB
         assert large_peak <= small_peak + grown + (256 << 10)
+
+    def test_peak_stays_far_below_the_largest_column_matrix(self, rng):
+        """At (200, 3, 32, 32) the column matrix of the micro net's largest
+        3x3 conv (16 channels at 32x32) is 236 MB for the whole batch; a
+        chunked forward builds one chunk's at a time."""
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4, seed=5, **STATS)
+        x = rng.uniform(size=(200, 3, 32, 32))
+        cols_nbytes = 16 * 9 * len(x) * 32 * 32 * 8
+        assert self.least_peaks(model, x)[0] < cols_nbytes // 3
 
 
 class TestCheckpoints:

@@ -300,6 +300,16 @@ class TestTrain:
         assert "[train]" in capsys.readouterr().err
         assert not opened and not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("shift", [-1, 2])
+    def test_bad_bottom_heavy_shift_exits_2_before_reading_data(self, tmp_path, capsys,
+                                                                 monkeypatch, shift):
+        opened = []
+        monkeypatch.setattr(analysis, "load_dataset", lambda *a, **k: opened.append(a))
+        text = tiny_config_text(tmp_path / "runs") + f"[model]\nbottom_heavy_shift = {shift}\n"
+        assert main(["train", write_config(tmp_path / "bad.config", text)]) == 2
+        assert "[model] bottom_heavy_shift" in capsys.readouterr().err
+        assert not opened and not (tmp_path / "runs").exists()
+
 
 class TestEval:
     def test_eval_writes_report(self, trained_run):

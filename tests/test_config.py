@@ -124,6 +124,15 @@ class TestParsing:
         with pytest.raises(InvalidConfig, match=rf"\[train\] {key}"):
             parse_config(f"[train]\n{lines}\n")
 
+    @pytest.mark.parametrize("schedule, shift", [("micro", -1), ("micro", 2), ("resnet50", 3)])
+    def test_bottom_heavy_shift_refused_at_parse_time(self, schedule, shift):
+        with pytest.raises(InvalidConfig, match=r"\[model\] bottom_heavy_shift"):
+            parse_config(f"[model]\nschedule = {schedule}\nbottom_heavy_shift = {shift}\n")
+
+    @pytest.mark.parametrize("schedule, shift", [("micro", 0), ("micro", 1), ("resnet50", 2)])
+    def test_bottom_heavy_shift_boundary_values_parse(self, schedule, shift):
+        parse_config(f"[model]\nschedule = {schedule}\nbottom_heavy_shift = {shift}\n")
+
     @pytest.mark.parametrize("lines", [
         "lr = 0\nperiod = 0",
         "lr_schedule = cosine\nlr = 0.1\nlr_min = 0.1",

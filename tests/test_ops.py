@@ -215,42 +215,19 @@ def _unrecorded_conv_peak(x, w, stride):
     return peak, out
 
 
-def _block_nbytes(n, c, f, k, ho, wo):
-    """Column and product bytes of a conv's largest forward block."""
-    start = ops._image_blocks(n, ho * wo, c * k * k)[-1][0]
-    return (c * k * k + f) * (n - start) * ho * wo * 8
-
-
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("k", [1, 3])
 def test_unrecorded_conv_peak_is_columns_input_and_output(rng, k, stride):
-    """Under no_grad a conv's peak is its padded input, one block's columns
-    and product, and its output: the forward never builds the whole column
-    matrix."""
+    """Under no_grad a conv's peak is its padded input, the column matrix,
+    the product and its output; a 1x1 stride-1 conv builds no columns."""
     n, c, h, wd, f = 50, 16, 8, 8, 8
     x = Tensor(rng.normal(size=(n, c, h, wd)), requires_grad=True)
     w = Tensor(rng.normal(size=(f, c, k, k)), requires_grad=True)
-    ho, wo = h // stride, wd // stride
+    m = n * (h // stride) * (wd // stride)
     xp_nbytes = 0 if k == 1 else n * c * (h + k - 1) * (wd + k - 1) * 8
-    block_nbytes = 0 if k == stride == 1 else _block_nbytes(n, c, f, k, ho, wo)
+    gemm_nbytes = 0 if k == stride == 1 else (c * k * k + f) * m * 8
     peak, out = _unrecorded_conv_peak(x, w, stride)
-    assert peak <= xp_nbytes + block_nbytes + out.data.nbytes + 64 * 1024
-
-
-def test_unrecorded_conv_peak_stays_far_below_the_column_matrix(rng):
-    """At a (200, 16, 32, 32) 3x3 site the whole column matrix is 236 MB;
-    an unrecorded conv peaks at its padded input, its output and one block
-    of a few MB."""
-    n, c, h, wd, f = 200, 16, 32, 32, 16
-    x = Tensor(rng.normal(size=(n, c, h, wd)), requires_grad=True)
-    w = Tensor(rng.normal(size=(f, c, 3, 3)), requires_grad=True)
-    xp_nbytes = n * c * (h + 2) * (wd + 2) * 8
-    cols_nbytes = c * 9 * n * h * wd * 8
-    block_nbytes = _block_nbytes(n, c, f, 3, h, wd)
-    assert block_nbytes < cols_nbytes // 20
-    peak, out = _unrecorded_conv_peak(x, w, 1)
-    assert peak <= xp_nbytes + block_nbytes + out.data.nbytes + 64 * 1024
-    assert peak < (xp_nbytes + cols_nbytes + out.data.nbytes) // 3
+    assert peak <= xp_nbytes + gemm_nbytes + out.data.nbytes + 64 * 1024
 
 
 def test_scratch_holds_only_the_largest_site(rng, monkeypatch):
@@ -335,33 +312,12 @@ def test_conv_matches_per_call_kernels_byte_for_byte(rng, k, stride, pad):
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-@pytest.mark.parametrize("n,cols_per_image,k", [
-    (1, 9, 27), (13, 1024, 144), (200, 9, 576), (200, 25, 144), (200, 36, 288),
-    (200, 100, 576), (50, 2304, 27), (200, 1, 576), (7, 4096, 576)])
-def test_image_blocks_follow_the_byte_rules(n, cols_per_image, k):
-    """Forward blocks cover the batch in order; every block but a lone one
-    holds at least _BLOCK_BYTES of columns and starts at a column offset
-    that is a multiple of 64; the remainder joins the last block."""
-    blocks = ops._image_blocks(n, cols_per_image, k)
-    assert blocks[0][0] == 0 and blocks[-1][1] == n
-    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-    sizes = [stop - start for start, stop in blocks]
-    assert all(size == sizes[0] for size in sizes[:-1]) and sizes[-1] >= sizes[0]
-    if len(blocks) > 1:
-        assert sizes[-1] < 2 * sizes[0]
-        for start, stop in blocks:
-            assert start * cols_per_image % 64 == 0
-            assert (stop - start) * cols_per_image * k * 8 >= ops._BLOCK_BYTES
-
-
 @pytest.mark.parametrize("pad", ["same", "circular"])
 @pytest.mark.parametrize("c,f", [(3, 16), (16, 16), (32, 32), (64, 64)])
-def test_blocked_forward_matches_one_gemm_byte_for_byte(rng, c, f, pad):
-    """The blocked forward, recorded and under no_grad, equals one GEMM over
-    the whole column matrix, over sides 2-48 (Ho*Wo = 9, 25, 36 and 100
-    among them), batches 1-200 and both strides.  The sweep includes
-    forwards of three or more blocks whose last block took the remainder."""
-    merged = 0
+def test_forward_matches_one_gemm_byte_for_byte(rng, c, f, pad):
+    """The forward, recorded and under no_grad, equals one GEMM over the
+    whole column matrix, over sides 2-48 (Ho*Wo = 9, 25, 36 and 100 among
+    them), batches 1-200 and both strides."""
     for side in (2, 3, 5, 6, 10, 12, 20, 32, 48):
         for n in (1, 13, 50, 200):
             for stride in (1, 2):
@@ -384,10 +340,6 @@ def test_blocked_forward_matches_one_gemm_byte_for_byte(rng, c, f, pad):
                 with no_grad():
                     got = conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad)
                 assert got.data.tobytes() == want, (side, n, stride)
-                blocks = ops._image_blocks(n, ho * ho, k)
-                sizes = [stop - start for start, stop in blocks]
-                merged += len(blocks) >= 3 and sizes[-1] > sizes[0]
-    assert merged > 0
 
 
 class TestBatchNorm:
