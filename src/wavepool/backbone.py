@@ -333,6 +333,14 @@ class _Head(_Layer):
         return self.ch * (h * w + 1) + (2 * self.ch + 1) * self.classes
 
 
+def check_variant(pool: PoolKind, variant: str) -> None:
+    """Refuse an unknown variant, or b or c with StridedConv (no pool to place)."""
+    if variant not in VARIANTS:
+        raise InvalidConfig(f"unknown block variant {variant!r}")
+    if variant != "a" and pool.family == "strided":
+        raise InvalidConfig(f"variant {variant!r} requires a pooling operator, not StridedConv")
+
+
 def _substitute(layers, pool: PoolKind, pool_first: bool = False):
     """The down-sampling substitution rule, applied to one path.
 
@@ -392,12 +400,7 @@ class Block(_Layer):
     def __init__(self, name, in_ch, out_ch, downsample, pool, variant, expansion, pad, rng):
         if in_ch < 1 or out_ch < 1:
             raise InvalidConfig(f"{name}: channel counts must be positive")
-        if variant not in VARIANTS:
-            raise InvalidConfig(f"unknown block variant {variant!r}")
-        if variant != "a" and pool.family == "strided":
-            raise InvalidConfig(
-                f"{name}: variant {variant!r} requires a pooling operator, not StridedConv"
-            )
+        check_variant(pool, variant)
         self.name = name
         self.out_ch = out_ch
         width = max(1, out_ch // expansion)

@@ -6,7 +6,8 @@ are rejected rather than silently dropped, so a typo cannot quietly change
 an experiment; so are non-finite floats, pool strings that do not parse,
 choices missing from the table of the module that owns them (named below),
 and values the run would refuse only once its data is read (a
-``bottom_heavy_shift`` the schedule cannot take; a negative lr or period,
+``bottom_heavy_shift`` the schedule cannot take; a pool, or in kd mode a
+teacher_pool, that cannot take the variant; a negative lr or period,
 lr_min above lr under cosine, a non-positive step factor, a kd alpha
 outside [0, 1] or a non-positive temperature).
 ``serialize_config(parse_config(text))`` is the identity on canonical
@@ -16,7 +17,8 @@ so a config hash pins the exact experiment.
 Sections and keys (defaults in parentheses):
 
 [dataset]
-  kind (synthetic) | cifar100 | file        file: a .wvds image-set path
+  kind (synthetic) | cifar100 | file        file: one .wvds image-set path,
+                                            also read as the test split
   path ()                                   dataset dir/file; may be
                                             relative to WAVEPOOL_DATA_DIR
   n_train (2000)   n_test (500)
@@ -49,7 +51,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields
 
-from .backbone import SCHEDULES, VARIANTS, bottom_heavy
+from .backbone import SCHEDULES, VARIANTS, bottom_heavy, check_variant
 from .errors import InvalidConfig, InvalidHyperparameter, UnsupportedWavelet
 from .ops import PAD_MODES
 from .optim import LR_SCHEDULES
@@ -214,10 +216,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         bottom_heavy(SCHEDULES[cfg.model.schedule](), cfg.model.bottom_heavy_shift)
     except InvalidConfig as exc:
         raise InvalidConfig(f"[model] bottom_heavy_shift: {exc}") from None
-    for key, text in (("[model] pool", cfg.model.pool), ("[train] teacher_pool", t.teacher_pool)):
+    for key, text, built in (("[model] pool", cfg.model.pool, True),
+                             ("[train] teacher_pool", t.teacher_pool, t.mode == "kd")):
         try:
-            parse_pool(text)
-        except (InvalidHyperparameter, UnsupportedWavelet) as exc:
+            pool = parse_pool(text)
+            if built:
+                check_variant(pool, cfg.model.variant)
+        except (InvalidConfig, InvalidHyperparameter, UnsupportedWavelet) as exc:
             raise InvalidConfig(f"{key}: {exc}") from None
 
 

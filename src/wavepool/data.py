@@ -9,9 +9,9 @@ which is exactly the contrast the training experiments measure.
 
 File formats handled here, byte-exact:
 
-- CIFAR-100 binary: records of 3074 bytes (1 coarse label, 1 fine label,
-  3072 image bytes row-major channel-planar R,G,B), ``train.bin`` holding
-  50,000 records and ``test.bin`` 10,000.
+- CIFAR-100 binary (read only): records of 3074 bytes (1 coarse label, 1
+  fine label, 3072 image bytes row-major channel-planar R,G,B), ``train.bin``
+  holding 50,000 records and ``test.bin`` 10,000.
 - image-set flat binary (extension ``.wvds``): header magic ``WVDS``,
   u32 version (=1), u32 N, C, H, W, class_count, all little-endian; then
   N u32 labels; then N*C*H*W float64 little-endian pixels in [0,1].  A
@@ -98,14 +98,6 @@ def read_cifar_records(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise CorruptDataset(f"{path}: label byte out of range")
     images = raw[:, 2:].reshape(-1, 3, 32, 32).copy()
     return coarse, fine, images
-
-
-def encode_cifar_records(coarse, fine, images_u8) -> bytes:
-    """Inverse of read_cifar_records; reproduces the original bytes."""
-    coarse = np.asarray(coarse, dtype=np.uint8).reshape(-1, 1)
-    fine = np.asarray(fine, dtype=np.uint8).reshape(-1, 1)
-    flat = np.asarray(images_u8, dtype=np.uint8).reshape(len(coarse), -1)
-    return np.concatenate([coarse, fine, flat], axis=1).tobytes()
 
 
 def load_cifar100(path, split: str) -> LabeledImageSet:

@@ -2,9 +2,9 @@
 
 Reads P5 (grayscale) and P6 (color) with maxval 255 or 65535; multi-byte
 samples are big-endian per the netpbm convention.  Pixel values map to
-floats in [0,1].  Writers emit 8-bit by default; subband dumps use 16-bit
-PGM so that quantization error stays far below one 8-bit gray level after
-reconstruction.
+floats in [0,1].  The one writer, ``write_pgm``, emits 8-bit grayscale by
+default; subband dumps use its 16-bit form so that quantization error stays
+far below one 8-bit gray level after reconstruction.
 """
 
 from __future__ import annotations
@@ -90,13 +90,3 @@ def write_pgm(path, image, maxval: int = 255) -> None:
         f.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
         f.write(_quantize(image, maxval).tobytes())
 
-
-def write_ppm(path, image) -> None:
-    """Write a (3, H, W) array of [0,1] floats as binary 8-bit PPM."""
-    image = np.asarray(image)
-    if image.ndim != 3 or image.shape[0] != 3:
-        raise ShapeMismatch(f"PPM wants (3, H, W), got shape {image.shape}")
-    _c, h, w = image.shape
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(_quantize(image.transpose(1, 2, 0), 255).tobytes())

@@ -18,12 +18,14 @@ multi-level decomposition is composition at the call site.
 
 All public entry points accept plain vectors/matrices.  Every transform
 composes one private pair acting along a chosen axis: ``_analyze`` (the
-decimating periodic correlation) and its adjoint ``_synthesize``.
-``_analyze_ll`` and its exact adjoint ``_analyze_ll_adjoint`` run one
-filter along both trailing axes, accept arbitrary leading batch axes and
-back every linear pooling layer.  Each call of the pair writes every tap's
-product into one buffer it allocates once and reuses, rather than a fresh
-temporary per tap.
+decimating periodic correlation) and its adjoint ``_synthesize``.  One level
+along one axis is ``_split`` (both analysis filters) and its inverse ``_merge``
+(both synthesis filters, summed); a 2D level splits along width then height
+and merges back in reverse.  ``_analyze_ll`` and its exact adjoint
+``_analyze_ll_adjoint`` run one filter along both trailing axes, accept
+arbitrary leading batch axes and back every linear pooling layer.  Each call
+of the pair writes every tap's product into one buffer it allocates once and
+reuses, rather than a fresh temporary per tap.
 """
 
 from __future__ import annotations
@@ -128,14 +130,24 @@ def _as_input(x, min_side: int, op: str, ndim: int) -> np.ndarray:
     return x
 
 
+def _split(x: np.ndarray, spec: WaveletSpec, axis: int = -1) -> tuple:
+    """(low, high): one analysis step along ``axis`` with both filters."""
+    return _analyze(x, spec.analysis_low, axis), _analyze(x, spec.analysis_high, axis)
+
+
+def _merge(low: np.ndarray, high: np.ndarray, spec: WaveletSpec, axis: int = -1) -> np.ndarray:
+    """Inverse of ``_split``: the sum of both bands' synthesis along ``axis``."""
+    lows = _synthesize(low, spec.synthesis_low, spec.synthesis_low_offset, axis)
+    return lows + _synthesize(high, spec.synthesis_high, spec.synthesis_high_offset, axis)
+
+
 def dwt1d(x, spec: WaveletSpec):
     """One analysis level: returns (low, high), each of length n/2.
 
     low[m] = sum_i l[i] x[(2m+i) mod n] and likewise for high with the
     analysis high-pass filter.
     """
-    x = _as_input(x, spec.max_length, "dwt1d", 1)
-    return _analyze(x, spec.analysis_low), _analyze(x, spec.analysis_high)
+    return _split(_as_input(x, spec.max_length, "dwt1d", 1), spec)
 
 
 def idwt1d(low, high, spec: WaveletSpec) -> np.ndarray:
@@ -144,9 +156,7 @@ def idwt1d(low, high, spec: WaveletSpec) -> np.ndarray:
     high = np.asarray(high, dtype=np.float64)
     if low.ndim != 1 or low.shape != high.shape:
         raise ShapeMismatch(f"idwt1d: band shapes {low.shape} vs {high.shape}")
-    return _synthesize(low, spec.synthesis_low, spec.synthesis_low_offset) + _synthesize(
-        high, spec.synthesis_high, spec.synthesis_high_offset
-    )
+    return _merge(low, high, spec)
 
 
 def dwt2d(X, spec: WaveletSpec) -> SubbandSet:
@@ -155,29 +165,14 @@ def dwt2d(X, spec: WaveletSpec) -> SubbandSet:
     With L and H the 1D analysis operators, the subbands are
     ll = L X L^T, lh = H X L^T, hl = L X H^T, hh = H X H^T.
     """
-    X = _as_input(X, spec.max_length, "dwt2d", 2)
-    row_low = _analyze(X, spec.analysis_low)
-    row_high = _analyze(X, spec.analysis_high)
-    return SubbandSet(
-        ll=_analyze(row_low, spec.analysis_low, axis=-2),
-        lh=_analyze(row_low, spec.analysis_high, axis=-2),
-        hl=_analyze(row_high, spec.analysis_low, axis=-2),
-        hh=_analyze(row_high, spec.analysis_high, axis=-2),
-    )
+    row_low, row_high = _split(_as_input(X, spec.max_length, "dwt2d", 2), spec)
+    return SubbandSet(*_split(row_low, spec, axis=-2), *_split(row_high, spec, axis=-2))
 
 
 def idwt2d(s: SubbandSet, spec: WaveletSpec) -> np.ndarray:
     """Inverse of dwt2d: transposed synthesis operators on both axes."""
-    lo, hi = spec.synthesis_low_offset, spec.synthesis_high_offset
-    low_branch = _synthesize(
-        np.asarray(s.ll, dtype=np.float64), spec.synthesis_low, lo, axis=-2
-    ) + _synthesize(np.asarray(s.lh, dtype=np.float64), spec.synthesis_high, hi, axis=-2)
-    high_branch = _synthesize(
-        np.asarray(s.hl, dtype=np.float64), spec.synthesis_low, lo, axis=-2
-    ) + _synthesize(np.asarray(s.hh, dtype=np.float64), spec.synthesis_high, hi, axis=-2)
-    return _synthesize(low_branch, spec.synthesis_low, lo) + _synthesize(
-        high_branch, spec.synthesis_high, hi
-    )
+    ll, lh, hl, hh = (np.asarray(b, dtype=np.float64) for b in (s.ll, s.lh, s.hl, s.hh))
+    return _merge(_merge(ll, lh, spec, axis=-2), _merge(hl, hh, spec, axis=-2), spec)
 
 
 def reconstruct_lowpass(X, spec: WaveletSpec) -> np.ndarray:

@@ -18,12 +18,11 @@ from wavepool.cli import main
 from wavepool.config import config_hash, load_config
 from wavepool.data import (
     LabeledImageSet,
-    encode_cifar_records,
     make_tiny_object_set,
     save_image_set,
 )
 from wavepool.filterbank import parse_wavelet
-from wavepool.imageio import read_image, write_pgm, write_ppm
+from wavepool.imageio import read_image, write_pgm
 from wavepool.transforms import SubbandSet, dwt2d, idwt2d
 
 
@@ -144,9 +143,9 @@ class TestTransform:
 
     def test_ppm_transforms_channel_mean(self, tmp_path):
         rng = np.random.default_rng(12)
-        image = rng.uniform(size=(3, 16, 16))
+        raster = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
         src = tmp_path / "color.ppm"
-        write_ppm(src, image)
+        src.write_bytes(b"P6\n16 16\n255\n" + raster.tobytes())
         summary = self.transform(src, tmp_path / "out")
         assert summary["input"] == [16, 16]
         expected = dwt2d(read_image(src).mean(axis=0), parse_wavelet("haar"))
@@ -310,6 +309,20 @@ class TestTrain:
         assert "[model] bottom_heavy_shift" in capsys.readouterr().err
         assert not opened and not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("extra, key", [
+        ("[model]\npool = strided\n", "[model] pool"),
+        ("[train]\nmode = kd\nteacher = t.wvpk\nteacher_pool = strided\n",
+         "[train] teacher_pool"),
+    ])
+    def test_strided_pool_with_variant_c_exits_2_before_reading_data(self, tmp_path, capsys,
+                                                                      monkeypatch, extra, key):
+        opened = []
+        monkeypatch.setattr(analysis, "load_dataset", lambda *a, **k: opened.append(a))
+        text = tiny_config_text(tmp_path / "runs") + extra
+        assert main(["train", write_config(tmp_path / "bad.config", text)]) == 2
+        assert f"{key}: variant 'c' requires a pooling operator" in capsys.readouterr().err
+        assert not opened and not (tmp_path / "runs").exists()
+
 
 class TestEval:
     def test_eval_writes_report(self, trained_run):
@@ -350,7 +363,8 @@ class TestEval:
             data = make_tiny_object_set(n, 32, 4, 4, seed=seed)
             pixels = np.round(data.images * 255).astype(np.uint8)
             (root / f"{split}.bin").write_bytes(
-                encode_cifar_records(data.labels, data.labels, pixels))
+                np.column_stack([data.labels, data.labels, pixels.reshape(n, -1)])
+                .astype(np.uint8).tobytes())
         text = tiny_config_text(tmp_path / "runs", kind="cifar100", path="cifar")
         cfg_path = write_config(tmp_path / "cifar.config", text)
         digest = config_hash(load_config(cfg_path))
@@ -383,7 +397,8 @@ class TestEval:
             if split == "test":
                 pixels[:, 0] = 128
             (root / f"{split}.bin").write_bytes(
-                encode_cifar_records(data.labels, data.labels, pixels))
+                np.column_stack([data.labels, data.labels, pixels.reshape(n, -1)])
+                .astype(np.uint8).tobytes())
         cfg_path = write_config(
             tmp_path / "cifar.config",
             tiny_config_text(tmp_path / "runs", kind="cifar100", path="cifar"))
@@ -477,7 +492,8 @@ class TestCount:
             pixels = np.round(data.images * 255).astype(np.uint8)
             for split in ("train", "test"):
                 (tmp_path / "cifar" / f"{split}.bin").write_bytes(
-                    encode_cifar_records(data.labels, data.labels, pixels))
+                    np.column_stack([data.labels, data.labels, pixels.reshape(4, -1)])
+                    .astype(np.uint8).tobytes())
             path = "cifar"
         text = tiny_config_text(tmp_path / "runs", kind=kind, path=path)
         cfg_path = write_config(tmp_path / f"{kind}.config", text)

@@ -22,7 +22,7 @@ from wavepool.config import (
 )
 from wavepool.data import make_tiny_object_set
 from wavepool.errors import InvalidConfig, ShapeMismatch, UnsupportedFormat, WavepoolError
-from wavepool.imageio import read_image, write_pgm, write_ppm
+from wavepool.imageio import read_image, write_pgm
 
 SAMPLE = """
 # an experiment
@@ -163,6 +163,24 @@ class TestParsing:
         with pytest.raises(InvalidConfig, match=key):
             parse_config(text)
 
+    @pytest.mark.parametrize("variant", ["b", "c"])
+    @pytest.mark.parametrize("lines, key", [
+        ("[model]\npool = strided\n", r"\[model\] pool"),
+        ("[train]\nmode = kd\nteacher = t.wvpk\nteacher_pool = strided\n",
+         r"\[train\] teacher_pool"),
+    ])
+    def test_strided_pool_with_pooling_variant_refused_at_parse_time(self, lines, key, variant):
+        with pytest.raises(InvalidConfig, match=key + ": variant .* not StridedConv"):
+            parse_config(f"[model]\nvariant = {variant}\n{lines}")
+
+    @pytest.mark.parametrize("text", [
+        "[model]\npool = strided\nvariant = a\n",
+        "[model]\nvariant = a\n[train]\nmode = kd\nteacher = t.wvpk\nteacher_pool = strided\n",
+        "[model]\nvariant = c\n[train]\nteacher_pool = strided\n",  # no teacher outside kd
+    ])
+    def test_strided_pool_with_variant_a_parses(self, text):
+        parse_config(text)
+
     def test_milestone_list(self):
         cfg = parse_config("[train]\nmilestones = 100,150\n")
         assert cfg.train.milestone_list() == [100, 150]
@@ -258,7 +276,8 @@ class TestImageIo:
         rng = np.random.default_rng(2)
         img = rng.uniform(size=(3, 4, 7))
         path = tmp_path / "x.ppm"
-        write_ppm(path, img)
+        raster = np.rint(img.transpose(1, 2, 0) * 255).astype(np.uint8)
+        path.write_bytes(b"P6\n7 4\n255\n" + raster.tobytes())
         back = read_image(path)
         assert back.shape == (3, 4, 7)
         assert np.max(np.abs(back - img)) <= 0.5 / 255 + 1e-12
@@ -315,8 +334,6 @@ class TestImageIo:
     def test_shape_validation_on_write(self, tmp_path):
         with pytest.raises(ShapeMismatch):
             write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 2)))
-        with pytest.raises(ShapeMismatch):
-            write_ppm(tmp_path / "x.ppm", np.zeros((4, 4)))
 
 
 @st.composite

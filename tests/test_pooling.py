@@ -13,7 +13,7 @@ from wavepool.errors import (
     OddLengthInput,
     ShapeMismatch,
 )
-from wavepool.filterbank import parse_wavelet
+from wavepool.filterbank import parse_wavelet, supported_wavelets
 from wavepool.ops import conv2d
 from wavepool.pooling import (
     DEFAULT_BLUR_KERNEL,
@@ -118,14 +118,15 @@ class TestWaveletPool:
         out = wavelet_pool(Tensor(checkerboard(8, 8)), parse_wavelet("haar"))
         assert np.max(np.abs(out.data)) <= 1e-12
 
-    @pytest.mark.parametrize("name", WAVELET_NAMES)
+    @pytest.mark.parametrize("name", supported_wavelets())
     def test_matches_dwt2d_ll_subband(self, rng, name):
+        # both run the same width-then-height analysis, so the bytes agree
         spec = parse_wavelet(name)
         x = rng.normal(size=(2, 3, 16, 16))
         out = wavelet_pool(Tensor(x), spec)
         for n in range(2):
             for c in range(3):
-                assert np.allclose(out.data[n, c], dwt2d(x[n, c], spec).ll, atol=1e-12)
+                assert out.data[n, c].tobytes() == dwt2d(x[n, c], spec).ll.tobytes()
 
     @pytest.mark.parametrize("kind", pool_params(LINEAR_POOLS))
     def test_adjoint_identity(self, rng, kind):
