@@ -605,6 +605,8 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
             n = int(np.prod(shape, dtype=np.int64)) if ndim else 1
             arr = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(shape)
             off += 8 * n
+            if name in tensors:
+                raise UnsupportedFormat(f"{path}: tensor {name!r} appears twice")
             tensors[name] = arr.astype(np.float64)
     except (struct.error, ValueError) as exc:
         raise UnsupportedFormat(f"{path}: truncated or corrupt checkpoint") from exc

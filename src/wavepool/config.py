@@ -2,14 +2,15 @@
 
 A config file is line-oriented: ``[section]`` headers, ``key = value``
 pairs, blank lines and ``#`` comments ignored.  Unknown sections or keys
-are rejected rather than silently dropped, so a typo cannot quietly change
-an experiment; so are non-finite floats, pool strings that do not parse,
-choices missing from the table of the module that owns them (named below),
-and values the run would refuse only once its data is read (a
-``bottom_heavy_shift`` the schedule cannot take; a pool, or in kd mode a
-teacher_pool, that cannot take the variant; a negative lr or period,
-lr_min above lr under cosine, a non-positive step factor, a kd alpha
-outside [0, 1] or a non-positive temperature).
+are rejected rather than silently dropped, and a key set twice in a
+section (headers may repeat) rather than letting the last value win, so a
+typo cannot quietly change an experiment; so are non-finite floats, pool
+strings that do not parse, choices missing from the table of the module
+that owns them (named below), and values the run would refuse only once
+its data is read (a ``bottom_heavy_shift`` the schedule cannot take; a
+pool, or in kd mode a teacher_pool, that cannot take the variant; a
+negative lr or period, lr_min above lr under cosine, a non-positive step
+factor, a kd alpha outside [0, 1] or a non-positive temperature).
 ``serialize_config(parse_config(text))`` is the identity on canonical
 form, and the canonical text is what gets hashed into output file names,
 so a config hash pins the exact experiment.
@@ -156,10 +157,11 @@ def _coerce(section: str, key: str, raw: str, target_type):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse config text; unknown sections/keys raise InvalidConfig."""
+    """Parse config text; unknown sections/keys and repeated keys raise InvalidConfig."""
     cfg = ExperimentConfig()
     section = None
     section_fields: dict[str, type] = {}
+    seen: set[tuple[str, str]] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -179,6 +181,9 @@ def parse_config(text: str) -> ExperimentConfig:
         key, raw = key.strip(), raw.strip()
         if key not in section_fields:
             raise InvalidConfig(f"line {lineno}: unknown key {key!r} in [{section}]")
+        if (section, key) in seen:
+            raise InvalidConfig(f"line {lineno}: repeated key {key!r} in [{section}]")
+        seen.add((section, key))
         target = getattr(cfg, section)
         current = getattr(target, key)
         setattr(target, key, _coerce(section, key, raw, type(current)))

@@ -33,10 +33,6 @@ class InvalidConfig(WavepoolError):
     """Configuration is malformed or infeasible."""
 
 
-class InputTooLarge(WavepoolError):
-    """Input exceeds the documented desk-scale size limit."""
-
-
 class MissingArtifact(WavepoolError):
     """A required file (teacher checkpoint, ...) is absent."""
 

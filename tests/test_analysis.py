@@ -12,7 +12,6 @@ from wavepool.analysis import (
     _epoch_lr,
     alias_energy_sweep,
     build_model_from_config,
-    dft2,
     evaluate,
     load_dataset,
     shift_consistency,
@@ -31,7 +30,6 @@ from wavepool.config import parse_config
 from wavepool.data import make_tiny_object_set
 from wavepool.errors import (
     DatasetNotFound,
-    InputTooLarge,
     InvalidConfig,
     MissingArtifact,
 )
@@ -108,49 +106,6 @@ class TestMetricsReport:
             assert f.read() == r.to_csv()
 
 
-class TestDft2:
-    def test_constant_concentrates_at_dc(self):
-        x = np.full((8, 8), 3.0)
-        spec = dft2(x)
-        assert spec[0, 0] == pytest.approx(8 * 8 * 3.0)
-        off = spec.copy()
-        off[0, 0] = 0.0
-        assert np.max(np.abs(off)) <= 1e-9
-
-    def test_sinusoid_gives_two_conjugate_peaks(self):
-        m = 16
-        a = np.arange(m)
-        x = np.cos(2 * PI * 3 * a / m)[:, None].repeat(m, axis=1)
-        spec = dft2(x)
-        assert abs(spec[3, 0]) == pytest.approx(m * m / 2, rel=1e-9)
-        assert abs(spec[m - 3, 0]) == pytest.approx(m * m / 2, rel=1e-9)
-        assert spec[3, 0] == pytest.approx(np.conj(spec[m - 3, 0]), rel=1e-9)
-        mask = np.ones((m, m), dtype=bool)
-        mask[3, 0] = mask[m - 3, 0] = False
-        assert np.max(np.abs(spec[mask])) <= 1e-8
-
-    def test_parseval(self):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(24, 16))
-        spec = dft2(x)
-        lhs = (np.abs(spec) ** 2).sum()
-        rhs = x.size * (x**2).sum()
-        assert abs(lhs - rhs) / rhs <= 1e-9
-
-    def test_matches_fft_oracle(self):
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=(20, 28))
-        assert np.allclose(dft2(x), np.fft.fft2(x), atol=1e-8)
-
-    def test_oversize_rejected(self):
-        with pytest.raises(InputTooLarge):
-            dft2(np.zeros((513, 4)))
-
-    def test_non_matrix_rejected(self):
-        with pytest.raises(InvalidConfig):
-            dft2(np.zeros(16))
-
-
 class TestSpectrumFraction:
     def test_checkerboard_is_all_high_frequency(self):
         i, j = np.indices((8, 8))
@@ -162,6 +117,36 @@ class TestSpectrumFraction:
 
     def test_zero_input_reports_zero(self):
         assert spectrum_energy_fraction_above(np.zeros((8, 8)), PI / 2) == 0.0
+
+    def test_sinusoid_energy_sits_at_its_signed_frequency(self):
+        # cos(3pi/8 a) puts half its energy in bin 3 and half in bin 13, i.e.
+        # -3: both lie at 3pi/8, so the cutoff splits them all or nothing
+        a = np.arange(16)
+        x = np.cos(2 * PI * 3 * a / 16)[:, None].repeat(16, axis=1)
+        assert spectrum_energy_fraction_above(x, PI / 4) == pytest.approx(1.0)
+        assert spectrum_energy_fraction_above(x, PI / 2) <= 1e-12
+
+    # A bin that lies exactly on the cutoff counts as above it.  2 pi k / n
+    # rounds an ulp below pi / 2 (bin n/4) at n = 44 and 60, and below pi
+    # (bin n/2) at n = 22, 30 and 44; at n = 16 it is exact.
+    @pytest.mark.parametrize("n", [16, 44, 60])
+    def test_quarter_band_bin_on_pi_over_2_counts_as_above(self, n):
+        x = np.cos(PI / 2 * np.arange(n))[:, None].repeat(n, axis=1)
+        assert spectrum_energy_fraction_above(x, PI / 2) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [16, 22, 30, 44])
+    def test_nyquist_bin_on_pi_counts_as_above(self, n):
+        i, j = np.indices((n, n))
+        assert spectrum_energy_fraction_above((-1.0) ** (i + j), PI) == pytest.approx(1.0)
+
+    def test_tall_600x8_checkerboard_has_no_size_cap(self):
+        i, j = np.indices((600, 8))
+        x = (-1.0) ** (i + j)
+        assert spectrum_energy_fraction_above(x, PI / 2) == pytest.approx(1.0)
+
+    def test_non_matrix_rejected(self):
+        with pytest.raises(InvalidConfig, match="matrix"):
+            spectrum_energy_fraction_above(np.zeros(16), PI / 2)
 
 
 class TestAliasEnergySweep:

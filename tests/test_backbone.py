@@ -688,6 +688,23 @@ class TestCheckpoints:
         with pytest.raises(UnsupportedFormat):
             read_checkpoint(path)
 
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        import struct
+
+        model = Network(micro_schedule(), HAAR, "c", num_classes=4)
+        path = tmp_path / "model.wvpk"
+        save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        (count,) = struct.unpack_from("<I", blob, 8)
+        struct.pack_into("<I", blob, 8, count + 1)
+        name = b"head.fc.bias"
+        blob += struct.pack("<H", len(name)) + name + struct.pack("<BI", 1, 4)
+        blob += np.full(4, 7.0).astype("<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(UnsupportedFormat, match="'head.fc.bias' appears twice"):
+            load_checkpoint(model, path)
+        assert not np.any(dict(model.state())["head.fc.bias"] == 7.0)
+
     @pytest.fixture(scope="class")
     def saved_blob(self, tmp_path_factory):
         """A small net's checkpoint bytes, and a directory to write variants to."""

@@ -8,6 +8,7 @@ exit with code 2 and a message on standard error.
 
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -61,6 +62,18 @@ def tiny_config_text(outdir, **kw):
         "[output]\n"
         f"dir = {outdir}\n"
     )
+
+
+def override(text, extra):
+    """``text`` plus the lines of ``extra``, where a ``key = value`` line whose
+    key ``text`` already sets replaces that line: a repeated key is refused."""
+    rest = []
+    for line in extra.splitlines():
+        pattern = f"^{re.escape(line.partition(' = ')[0])} = .*$"
+        text, found = re.subn(pattern, lambda _m: line, text, flags=re.M)
+        if not found:
+            rest.append(line + "\n")
+    return text + "".join(rest)
 
 
 def write_config(path, text):
@@ -294,9 +307,17 @@ class TestTrain:
                                                           lines):
         opened = []
         monkeypatch.setattr(analysis, "load_dataset", lambda *a, **k: opened.append(a))
-        text = tiny_config_text(tmp_path / "runs") + f"[train]\n{lines}\n"
+        text = override(tiny_config_text(tmp_path / "runs"), f"[train]\n{lines}\n")
         assert main(["train", write_config(tmp_path / "bad.config", text)]) == 2
         assert "[train]" in capsys.readouterr().err
+        assert not opened and not (tmp_path / "runs").exists()
+
+    def test_repeated_key_exits_2_before_reading_data(self, tmp_path, capsys, monkeypatch):
+        opened = []
+        monkeypatch.setattr(analysis, "load_dataset", lambda *a, **k: opened.append(a))
+        text = tiny_config_text(tmp_path / "runs") + "[train]\nlr = 0.3\n"
+        assert main(["train", write_config(tmp_path / "bad.config", text)]) == 2
+        assert "repeated key 'lr' in [train]" in capsys.readouterr().err
         assert not opened and not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("shift", [-1, 2])
@@ -318,7 +339,7 @@ class TestTrain:
                                                                       monkeypatch, extra, key):
         opened = []
         monkeypatch.setattr(analysis, "load_dataset", lambda *a, **k: opened.append(a))
-        text = tiny_config_text(tmp_path / "runs") + extra
+        text = override(tiny_config_text(tmp_path / "runs"), extra)
         assert main(["train", write_config(tmp_path / "bad.config", text)]) == 2
         assert f"{key}: variant 'c' requires a pooling operator" in capsys.readouterr().err
         assert not opened and not (tmp_path / "runs").exists()

@@ -77,6 +77,14 @@ class TestParsing:
         with pytest.raises(InvalidConfig, match="line 2"):
             parse_config("[train]\nlearning_rate = 0.1\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("[train]\nlr = 0.1\nlr = 0.3\n", 3),
+        ("[train]\nlr = 0.1\n[model]\npool = avg\n[train]\nlr = 0.3\n", 6),
+    ])
+    def test_repeated_key_rejected_with_line_number(self, text, line):
+        with pytest.raises(InvalidConfig, match=rf"^line {line}: repeated key 'lr' in \[train\]$"):
+            parse_config(text)
+
     def test_key_before_section_rejected(self):
         with pytest.raises(InvalidConfig):
             parse_config("epochs = 2\n")
