@@ -118,6 +118,13 @@ class TestSpectrumFraction:
     def test_zero_input_reports_zero(self):
         assert spectrum_energy_fraction_above(np.zeros((8, 8)), PI / 2) == 0.0
 
+    def test_constant_concentrates_at_dc(self):
+        # 2 pi / 8 is the lowest nonzero bin of an 8-point axis: nothing of a
+        # constant reaches it, while a zero cutoff takes in all its energy
+        x = np.full((8, 8), 3.0)
+        assert spectrum_energy_fraction_above(x, 2 * PI / 8) <= 1e-12
+        assert spectrum_energy_fraction_above(x, 0.0) == pytest.approx(1.0)
+
     def test_sinusoid_energy_sits_at_its_signed_frequency(self):
         # cos(3pi/8 a) puts half its energy in bin 3 and half in bin 13, i.e.
         # -3: both lie at 3pi/8, so the cutoff splits them all or nothing
