@@ -155,8 +155,7 @@ def alias_energy_sweep(pool: PoolKind, freqs) -> MetricsReport:
         x_re = np.cos(freq * grid)
         x_im = np.sin(freq * grid)
         with no_grad():
-            y_re = op(Tensor(x_re[None, None, :, :])).data[0, 0] / gain
-            y_im = op(Tensor(x_im[None, None, :, :])).data[0, 0] / gain
+            y_re, y_im = op(Tensor(np.stack([x_re, x_im])[:, None])).data[:, 0] / gain
         in_power = np.mean(x_re**2 + x_im**2)  # == 1
         ratio = float(np.mean(y_re**2 + y_im**2) / in_power)
         label = f"{freq / np.pi:.4f}pi"
@@ -273,10 +272,6 @@ def build_model_from_config(cfg: ExperimentConfig, num_classes: int,
     )
 
 
-def _epoch_lr(cfg: ExperimentConfig, epoch: int) -> float:
-    return LR_SCHEDULES[cfg.train.lr_schedule](cfg.train, epoch)
-
-
 def evaluate(model, dataset: LabeledImageSet):
     """(mean cross-entropy, accuracy) over a dataset, forwarded in batches
     of ``EVAL_BATCH`` images."""
@@ -337,7 +332,7 @@ def train_model(cfg: ExperimentConfig, data_dir: str = "",
         os.makedirs(checkpoint_dir, exist_ok=True)
 
     for epoch in range(t.epochs):
-        lr = _epoch_lr(cfg, epoch)
+        lr = LR_SCHEDULES[t.lr_schedule](t, epoch)
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         epoch_correct = 0

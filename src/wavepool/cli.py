@@ -1,12 +1,14 @@
 """Command-line entry point.
 
-Subcommands: transform, train, eval, count, alias, consistency.  Every
-command writes a MetricsReport as CSV + JSON into the output directory,
-with the config hash embedded in the file names; reruns overwrite rather
-than append, so a command is idempotent for fixed inputs.  Dataset paths
-in configs may be relative to ``--data-dir`` or the ``WAVEPOOL_DATA_DIR``
-environment variable.  Any domain error prints to standard error and
-exits nonzero.
+Subcommands: transform, train, eval, count, alias, consistency.  The
+config commands (train, eval, count, consistency) write a MetricsReport as
+CSV + JSON into the output directory, with the config hash embedded in the
+file names.  ``transform`` writes subband PGMs and ``energy.json``, and
+``alias`` writes ``alias_<pool>.csv``/``.json``; neither name carries a
+hash.  Reruns overwrite rather than append, so a command is idempotent for
+fixed inputs.  Dataset paths in configs may be relative to ``--data-dir``
+or the ``WAVEPOOL_DATA_DIR`` environment variable.  Any domain error
+prints to standard error and exits nonzero.
 """
 
 from __future__ import annotations

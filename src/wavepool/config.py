@@ -21,7 +21,9 @@ Sections and keys (defaults in parentheses):
   kind (synthetic) | cifar100 | file        file: one .wvds image-set path,
                                             also read as the test split
   path ()                                   dataset dir/file; may be
-                                            relative to WAVEPOOL_DATA_DIR
+                                            relative to WAVEPOOL_DATA_DIR;
+                                            a cifar100 path naming one .bin
+                                            file serves both splits too
   n_train (2000)   n_test (500)
   image_size (32)  object_size (6)  classes (4)
 

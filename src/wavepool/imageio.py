@@ -9,37 +9,18 @@ far below one 8-bit gray level after reconstruction.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import ShapeMismatch, UnsupportedFormat
 
 
-def _read_header_tokens(blob: bytes, count: int):
-    """Return ``count`` whitespace-separated tokens after the magic,
-    skipping ``#`` comments, plus the offset just past the single
-    whitespace byte that terminates the header."""
-    tokens = []
-    pos = 2  # past magic
-    while len(tokens) < count:
-        if pos >= len(blob):
-            raise UnsupportedFormat("truncated header")
-        ch = blob[pos:pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            end = blob.find(b"\n", pos)
-            if end < 0:
-                raise UnsupportedFormat("unterminated comment")
-            pos = end + 1
-        else:
-            end = pos
-            while end < len(blob) and not blob[end:end + 1].isspace():
-                end += 1
-            tokens.append(blob[pos:end])
-            pos = end
-    if pos >= len(blob) or not blob[pos:pos + 1].isspace():
-        raise UnsupportedFormat("malformed header terminator")
-    return tokens, pos + 1
+# The header grammar: the magic, then width, height and maxval, each token
+# preceded by whitespace or by ``#`` comments that run to the end of their
+# line, then one whitespace byte ending the header.
+_GAP = rb"(?:\s|#[^\n]*\n)*"
+_HEADER = re.compile(rb"P[56]" + (_GAP + rb"([^\s#]\S*)\s") * 3)
 
 
 def read_image(path) -> np.ndarray:
@@ -51,9 +32,12 @@ def read_image(path) -> np.ndarray:
         raise UnsupportedFormat(
             f"{path}: unsupported image magic {magic!r} (binary P5/P6 only)"
         )
-    tokens, offset = _read_header_tokens(blob, 3)
+    header = _HEADER.match(blob)
+    if header is None:
+        raise UnsupportedFormat(f"{path}: truncated or malformed header")
+    offset = header.end()
     try:
-        width, height, maxval = (int(t) for t in tokens)
+        width, height, maxval = (int(t) for t in header.groups())
     except ValueError:
         raise UnsupportedFormat(f"{path}: non-numeric header fields") from None
     if width <= 0 or height <= 0:

@@ -9,7 +9,6 @@ import pytest
 from wavepool.analysis import (
     EVAL_BATCH,
     MetricsReport,
-    _epoch_lr,
     alias_energy_sweep,
     build_model_from_config,
     evaluate,
@@ -34,6 +33,7 @@ from wavepool.errors import (
     MissingArtifact,
 )
 from wavepool.filterbank import parse_wavelet
+from wavepool.optim import LR_SCHEDULES
 from wavepool.pooling import parse_pool
 
 PI = np.pi
@@ -325,28 +325,33 @@ class TestLoadDataset:
             load_dataset(parse_config(text), "train")
 
 
+def lr_at(cfg, epoch):
+    """The rate ``train_model`` uses in ``epoch``."""
+    return LR_SCHEDULES[cfg.train.lr_schedule](cfg.train, epoch)
+
+
 class TestEpochLr:
     def test_step_schedule_reproduction(self):
         text = tiny_config_text(lr="0.1", epochs="200").replace(
             "lr_schedule = constant", "lr_schedule = step\nmilestones = 100,150\nfactor = 0.1"
         )
         cfg = parse_config(text)
-        assert _epoch_lr(cfg, 0) == pytest.approx(0.1)
-        assert _epoch_lr(cfg, 120) == pytest.approx(0.01)
-        assert _epoch_lr(cfg, 180) == pytest.approx(0.001)
+        assert lr_at(cfg, 0) == pytest.approx(0.1)
+        assert lr_at(cfg, 120) == pytest.approx(0.01)
+        assert lr_at(cfg, 180) == pytest.approx(0.001)
 
     def test_cosine_schedule_reproduction(self):
         text = tiny_config_text(lr="0.00375", epochs="60", lr_schedule="cosine").replace(
             "seed = 3", "seed = 3\nlr_min = 3.75e-05\nperiod = 30"
         )
         cfg = parse_config(text)
-        assert _epoch_lr(cfg, 0) == pytest.approx(3.75e-3)
-        assert _epoch_lr(cfg, 30) == pytest.approx(3.75e-3)
-        assert _epoch_lr(cfg, 15) == pytest.approx((3.75e-3 + 3.75e-5) / 2)
+        assert lr_at(cfg, 0) == pytest.approx(3.75e-3)
+        assert lr_at(cfg, 30) == pytest.approx(3.75e-3)
+        assert lr_at(cfg, 15) == pytest.approx((3.75e-3 + 3.75e-5) / 2)
 
     def test_constant_schedule(self):
         cfg = parse_config(tiny_config_text(lr="0.07"))
-        assert _epoch_lr(cfg, 0) == _epoch_lr(cfg, 9) == pytest.approx(0.07)
+        assert lr_at(cfg, 0) == lr_at(cfg, 9) == pytest.approx(0.07)
 
 
 class TestExperimentRuns:

@@ -339,6 +339,31 @@ class TestImageIo:
         with pytest.raises(UnsupportedFormat):
             read_image(path)
 
+    @pytest.mark.parametrize("blob, expected", [
+        (b"P53 2\n255\n" + bytes(6), (2, 3)),  # token straight after the magic
+        (b"P5# c\n3 2\n255\n" + bytes(6), (2, 3)),  # comment straight after it
+        (b"P5\r3\t2\r\n255\r" + bytes(6), (2, 3)),  # CR and tab separators
+        (b"P5\n3#4 2\n255\n" + bytes(6), "non-numeric"),  # '#' inside a token
+        (b"P5\n3 2\n# no newline", "truncated or malformed"),  # unterminated comment
+        (b"P5\n3 2\n255", "truncated or malformed"),  # no byte after the maxval
+    ], ids=["token-after-magic", "comment-after-magic", "cr-tab", "hash-in-token",
+            "unterminated-comment", "unterminated-header"])
+    def test_header_grammar_edges(self, tmp_path, blob, expected):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(blob)
+        if isinstance(expected, tuple):
+            assert read_image(path).shape == expected
+        else:
+            with pytest.raises(UnsupportedFormat, match=expected):
+                read_image(path)
+
+    def test_truncated_header_names_the_file(self, tmp_path):
+        path = tmp_path / "cut.pgm"
+        path.write_bytes(b"P5\n3 ")
+        with pytest.raises(UnsupportedFormat) as err:
+            read_image(path)
+        assert str(path) in str(err.value)
+
     def test_shape_validation_on_write(self, tmp_path):
         with pytest.raises(ShapeMismatch):
             write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 2)))

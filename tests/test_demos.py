@@ -1,9 +1,11 @@
-"""The demos stay runnable: the four fast ones run to exit 0 in a fresh
-process, and the training demo (about a minute) imports and builds its
-configs without training."""
+"""The demos and README examples stay runnable: the four fast demos and
+each fenced ``python`` block of README.md run to exit 0 in a fresh process,
+and the training demo (about a minute) imports and builds its configs
+without training."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,19 +16,38 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 
 
-@pytest.mark.parametrize(
-    "name", ["filter_banks", "subband_transforms", "anti_aliased_pooling", "architecture_accounting"]
-)
-def test_fast_demo_exits_0(name, tmp_path):
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                           re.MULTILINE | re.DOTALL)
+
+
+def run_python(args, cwd):
+    """Run a fresh interpreter with ``src`` on the path; returns the result."""
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, str(DEMOS / f"{name}.py")],
-        cwd=tmp_path,
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+@pytest.mark.parametrize(
+    "name", ["filter_banks", "subband_transforms", "anti_aliased_pooling", "architecture_accounting"]
+)
+def test_fast_demo_exits_0(name, tmp_path):
+    result = run_python([str(DEMOS / f"{name}.py")], tmp_path)
+    assert result.returncode == 0, result.stderr
+
+
+def test_readme_has_python_examples():
+    assert len(README_BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("block", range(len(README_BLOCKS)))
+def test_readme_python_block_exits_0(block, tmp_path):
+    result = run_python(["-c", README_BLOCKS[block]], tmp_path)
     assert result.returncode == 0, result.stderr
 
 

@@ -1,5 +1,7 @@
 """Filter construction, normalization, and duality conditions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,59 @@ class TestBiorthogonality:
             synthesis_high=good.synthesis_low,
         )
         assert check_biorthogonality(bad).max_residual >= 1.0 - 1e-9
+
+    @staticmethod
+    def _oracle(spec):
+        """Each condition's residual summed shift by shift: every s = 2m + off
+        at which the two filters overlap."""
+        pairs = {
+            "low_low": (spec.analysis_low, spec.synthesis_low, spec.synthesis_low_offset, True),
+            "high_high": (spec.analysis_high, spec.synthesis_high, spec.synthesis_high_offset, True),
+            "low_high": (spec.analysis_low, spec.synthesis_high, spec.synthesis_high_offset, False),
+            "high_low": (spec.analysis_high, spec.synthesis_low, spec.synthesis_low_offset, False),
+        }
+        out = {}
+        for cond, (a, b, off, is_delta) in pairs.items():
+            worst = 0.0
+            for s in range(-(b.size - 1), a.size):
+                if (s - off) % 2:
+                    continue
+                terms = [a[n] * b[n - s] for n in range(a.size) if 0 <= n - s < b.size]
+                if is_delta and s == off:
+                    terms.append(-1.0)
+                worst = max(worst, abs(math.fsum(terms)))
+            out[cond] = worst
+        return out
+
+    @staticmethod
+    def _random_specs(count=40):
+        # unit-norm filters of even lengths 2-14; unequal analysis and
+        # synthesis lengths make the offsets negative, zero and positive
+        rng = np.random.default_rng(20)
+        specs = []
+        for i in range(count):
+            taps = []
+            for size in rng.choice(np.arange(2, 15, 2), size=4):
+                f = rng.normal(size=size)
+                taps.append(f / np.linalg.norm(f))
+            specs.append(WaveletSpec(f"random{i}", *taps))
+        return specs
+
+    def test_random_specs_cover_every_offset_sign(self):
+        specs = self._random_specs()
+        offsets = {s.synthesis_low_offset for s in specs} | {s.synthesis_high_offset for s in specs}
+        assert {np.sign(off) for off in offsets} == {-1, 0, 1}
+
+    @pytest.mark.parametrize("which", ALL_NAMES + ["random"])
+    def test_matches_brute_force_oracle(self, which):
+        specs = self._random_specs() if which == "random" else [parse_wavelet(which)]
+        for spec in specs:
+            got = check_biorthogonality(spec)
+            want = self._oracle(spec)
+            assert got.residuals.keys() == want.keys()
+            for cond in want:
+                assert abs(got.residuals[cond] - want[cond]) <= 1e-15, (spec.name, cond)
+            assert got.max_residual == max(got.residuals.values())
 
     @pytest.mark.parametrize("name", ["haar", "db2", "db3", "db4"])
     def test_orthonormal_shifts(self, name):
