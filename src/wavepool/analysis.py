@@ -27,7 +27,7 @@ from . import backbone as bb
 from .autodiff import Tensor, make_rng, no_grad
 from .config import ExperimentConfig, config_hash, serialize_config
 from .data import LabeledImageSet, load_cifar100, load_image_set, make_tiny_object_set
-from .errors import InvalidConfig, MissingArtifact
+from .errors import InvalidConfig
 from .ops import kd_loss, softmax_cross_entropy
 from .optim import LR_SCHEDULES, sgd_step, zero_grads
 from .pooling import PoolKind, parse_pool
@@ -154,8 +154,7 @@ def alias_energy_sweep(pool: PoolKind, freqs) -> MetricsReport:
         k = _on_grid_bin(freq, n)
         x_re = np.cos(freq * grid)
         x_im = np.sin(freq * grid)
-        with no_grad():
-            y_re, y_im = op(Tensor(np.stack([x_re, x_im])[:, None])).data[:, 0] / gain
+        y_re, y_im = op(Tensor(np.stack([x_re, x_im])[:, None])).data[:, 0] / gain
         in_power = np.mean(x_re**2 + x_im**2)  # == 1
         ratio = float(np.mean(y_re**2 + y_im**2) / in_power)
         label = f"{freq / np.pi:.4f}pi"
@@ -214,18 +213,17 @@ def shift_consistency(model, dataset: LabeledImageSet, max_shift: int,
     if sample_limit:
         images = images[:sample_limit]
     n = images.shape[0]
-    with no_grad():
-        base = model.forward(images, training=False).data
-    base_cls = base.argmax(axis=1)
     agree = []
     cosines = []
-    for dr in range(1, max_shift + 1):
-        for dc in range(1, max_shift + 1):
-            shifted = np.roll(images, shift=(dr, dc), axis=(2, 3))
-            with no_grad():
+    with no_grad():
+        base = model.forward(images, training=False).data
+        base_cls = base.argmax(axis=1)
+        for dr in range(1, max_shift + 1):
+            for dc in range(1, max_shift + 1):
+                shifted = np.roll(images, shift=(dr, dc), axis=(2, 3))
                 out = model.forward(shifted, training=False).data
-            agree.append(np.mean(out.argmax(axis=1) == base_cls))
-            cosines.extend(_cosine(base[s], out[s]) for s in range(n))
+                agree.append(np.mean(out.argmax(axis=1) == base_cls))
+                cosines.extend(_cosine(base[s], out[s]) for s in range(n))
     report = MetricsReport(metadata={"max_shift": str(max_shift), "samples": str(n)})
     report.add("argmax_agreement", float(np.mean(agree)), "fraction")
     report.add("logit_cosine", float(np.mean(cosines)), "similarity")
@@ -247,9 +245,7 @@ def load_dataset(cfg: ExperimentConfig, split: str, data_dir: str = "") -> Label
         # disjoint deterministic streams per split
         seed = cfg.train.seed * 2 + (0 if split == "train" else 1)
         return make_tiny_object_set(n, ds.image_size, ds.object_size, ds.classes, seed=seed)
-    path = ds.path
-    if data_dir and not os.path.isabs(path):
-        path = os.path.join(data_dir, path)
+    path = os.path.join(data_dir, ds.path)
     if ds.kind == "cifar100":
         return load_cifar100(path, split)
     return load_image_set(path)
@@ -259,10 +255,9 @@ def build_model_from_config(cfg: ExperimentConfig, num_classes: int,
                             data: LabeledImageSet, pool: str | None = None) -> bb.Network:
     """The configured network over ``data``'s channels, its input normalized
     by ``data``'s channel stats (until a checkpoint replaces them)."""
-    schedule = bb.bottom_heavy(bb.SCHEDULES[cfg.model.schedule](), cfg.model.bottom_heavy_shift)
     mean, std = data.channel_stats()
     return bb.Network(
-        schedule,
+        cfg.model.layout(),
         parse_pool(pool if pool is not None else cfg.model.pool),
         cfg.model.variant,
         num_classes=num_classes,
@@ -295,7 +290,8 @@ def train_model(cfg: ExperimentConfig, data_dir: str = "",
     Modes: ``plain`` trains on cross-entropy; ``kd`` distills from a
     serialized teacher via kd_loss, building the teacher from the same
     schedule with the config's ``teacher_pool`` operator.  Deterministic
-    given the config seed.  When ``checkpoint_dir`` is set, parameters are
+    given the config seed.  The dataset and teacher paths are joined to
+    ``data_dir``.  When ``checkpoint_dir`` is set, parameters are
     serialized after every epoch plus a final checkpoint.
     """
     t0 = time.time()
@@ -307,16 +303,10 @@ def train_model(cfg: ExperimentConfig, data_dir: str = "",
 
     teacher = None
     if t.mode == "kd":
-        teacher_path = t.teacher
-        if data_dir and not os.path.isabs(teacher_path):
-            candidate = os.path.join(data_dir, teacher_path)
-            teacher_path = candidate if os.path.exists(candidate) else teacher_path
-        if not os.path.exists(teacher_path):
-            raise MissingArtifact(f"kd teacher checkpoint not found: {teacher_path}")
         teacher = build_model_from_config(
             cfg, train_set.class_count, train_set, pool=t.teacher_pool
         )
-        bb.load_checkpoint(teacher, teacher_path)
+        bb.load_checkpoint(teacher, os.path.join(data_dir, t.teacher))
 
     report = MetricsReport(
         metadata={

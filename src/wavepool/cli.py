@@ -6,9 +6,10 @@ CSV + JSON into the output directory, with the config hash embedded in the
 file names.  ``transform`` writes subband PGMs and ``energy.json``, and
 ``alias`` writes ``alias_<pool>.csv``/``.json``; neither name carries a
 hash.  Reruns overwrite rather than append, so a command is idempotent for
-fixed inputs.  Dataset paths in configs may be relative to ``--data-dir``
-or the ``WAVEPOOL_DATA_DIR`` environment variable.  Any domain error
-prints to standard error and exits nonzero.
+fixed inputs.  A config's dataset ``path`` and kd ``teacher`` are joined
+to the data dir (``--data-dir``, else ``$WAVEPOOL_DATA_DIR``) by
+``os.path.join``, which keeps an absolute path.  A domain error prints to
+standard error and exits 2.
 """
 
 from __future__ import annotations
@@ -41,6 +42,15 @@ from .transforms import dwt2d, reconstruct_lowpass
 
 def _data_dir(args) -> str:
     return args.data_dir or os.environ.get("WAVEPOOL_DATA_DIR", "")
+
+
+def _write(cfg, kind: str, report: MetricsReport) -> str:
+    """Stamp ``report`` with the config hash, write it to the output dir as
+    ``<kind>_<hash>`` CSV + JSON, and return the CSV path."""
+    digest = config_hash(cfg)
+    report.metadata["config_hash"] = digest
+    csv_path, _ = report.write(cfg.output.dir, f"{kind}_{digest}")
+    return csv_path
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +95,9 @@ def cmd_transform(args) -> int:
 
 def _train_one(config_path: str, data_dir: str) -> str:
     cfg = load_config(config_path)
-    digest = config_hash(cfg)
-    outdir = cfg.output.dir
-    ckpt_dir = os.path.join(outdir, f"run_{digest}", "checkpoints")
+    ckpt_dir = os.path.join(cfg.output.dir, f"run_{config_hash(cfg)}", "checkpoints")
     _model, report = train_model(cfg, data_dir=data_dir, checkpoint_dir=ckpt_dir)
-    csv_path, _ = report.write(outdir, f"metrics_{digest}")
-    return csv_path
+    return _write(cfg, "metrics", report)
 
 
 def cmd_train(args) -> int:
@@ -119,13 +126,10 @@ def cmd_eval(args) -> int:
     cfg, test_set, model = _build(args)
     bb.load_checkpoint(model, args.checkpoint)
     loss, acc = evaluate(model, test_set)
-    report = MetricsReport(
-        metadata={"config_hash": config_hash(cfg), "checkpoint": args.checkpoint}
-    )
+    report = MetricsReport(metadata={"checkpoint": args.checkpoint})
     report.add("test_loss", loss, "nats")
     report.add("test_accuracy", acc, "fraction")
-    csv_path, _ = report.write(cfg.output.dir, f"eval_{config_hash(cfg)}")
-    print(f"wrote {csv_path}")
+    print(f"wrote {_write(cfg, 'eval', report)}")
     return 0
 
 
@@ -137,11 +141,10 @@ def cmd_count(args) -> int:
     cfg, test_set, model = _build(args)
     h = test_set.images.shape[2] if args.height is None else args.height
     w = test_set.images.shape[3] if args.width is None else args.width
-    report = MetricsReport(metadata={"config_hash": config_hash(cfg)})
+    report = MetricsReport()
     report.add("param_count", bb.count_params(model), "params")
     report.add("flop_count", bb.count_flops(model, h, w), f"flops@{h}x{w}")
-    csv_path, _ = report.write(cfg.output.dir, f"count_{config_hash(cfg)}")
-    print(f"wrote {csv_path}")
+    print(f"wrote {_write(cfg, 'count', report)}")
     return 0
 
 
@@ -165,10 +168,8 @@ def cmd_consistency(args) -> int:
     cfg, test_set, model = _build(args)
     bb.load_checkpoint(model, args.checkpoint)
     report = shift_consistency(model, test_set, args.max_shift, args.samples)
-    report.metadata["config_hash"] = config_hash(cfg)
     report.metadata["pool"] = cfg.model.pool
-    csv_path, _ = report.write(cfg.output.dir, f"consistency_{config_hash(cfg)}")
-    print(f"wrote {csv_path}")
+    print(f"wrote {_write(cfg, 'consistency', report)}")
     return 0
 
 
@@ -229,10 +230,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except WavepoolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (WavepoolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

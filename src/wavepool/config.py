@@ -20,9 +20,9 @@ Sections and keys (defaults in parentheses):
 [dataset]
   kind (synthetic) | cifar100 | file        file: one .wvds image-set path,
                                             also read as the test split
-  path ()                                   dataset dir/file; may be
-                                            relative to WAVEPOOL_DATA_DIR;
-                                            a cifar100 path naming one .bin
+  path ()                                   dataset dir/file, joined to
+                                            the data dir (see cli); a
+                                            cifar100 path naming one .bin
                                             file serves both splits too
   n_train (2000)   n_test (500)
   image_size (32)  object_size (6)  classes (4)
@@ -40,7 +40,8 @@ Sections and keys (defaults in parentheses):
   lr_schedule (constant)                    optim.LR_SCHEDULES
   milestones ()                             comma ints, step schedule
   factor (0.1)  lr_min (0.0)  period (0)    period 0: one cosine arc
-  mode (plain) | kd
+  mode (plain) | kd                         kd: teacher names a checkpoint,
+                                            joined to the data dir as path is
   teacher ()  teacher_pool (max)  alpha (0.5)  temperature (4.0)
   seed (0)
 
@@ -54,7 +55,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields
 
-from .backbone import SCHEDULES, VARIANTS, bottom_heavy, check_variant
+from .backbone import SCHEDULES, VARIANTS, StageSchedule, bottom_heavy, check_variant
 from .errors import InvalidConfig, InvalidHyperparameter, UnsupportedWavelet
 from .ops import PAD_MODES
 from .optim import LR_SCHEDULES
@@ -79,6 +80,11 @@ class ModelConfig:
     variant: str = "c"
     bottom_heavy_shift: int = 0
     conv_pad: str = "circular"
+
+    def layout(self) -> StageSchedule:
+        """The stages the network is built from: ``schedule``'s layout with
+        ``bottom_heavy_shift`` blocks moved off its deepest stage."""
+        return bottom_heavy(SCHEDULES[self.schedule](), self.bottom_heavy_shift)
 
 
 @dataclass
@@ -123,13 +129,6 @@ class ExperimentConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-_SECTIONS = {
-    "dataset": DatasetConfig,
-    "model": ModelConfig,
-    "train": TrainConfig,
-    "output": OutputConfig,
-}
-
 _CHOICES = {
     ("dataset", "kind"): ("synthetic", "cifar100", "file"),
     ("model", "schedule"): SCHEDULES,
@@ -162,18 +161,15 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse config text; unknown sections/keys and repeated keys raise InvalidConfig."""
     cfg = ExperimentConfig()
     section = None
-    section_fields: dict[str, type] = {}
     seen: set[tuple[str, str]] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
-            name = stripped[1:-1].strip()
-            if name not in _SECTIONS:
-                raise InvalidConfig(f"line {lineno}: unknown section [{name}]")
-            section = name
-            section_fields = {f.name: f.type for f in fields(_SECTIONS[name])}
+            section = stripped[1:-1].strip()
+            if section not in {f.name for f in fields(cfg)}:
+                raise InvalidConfig(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in stripped:
             raise InvalidConfig(f"line {lineno}: expected key = value, got {stripped!r}")
@@ -181,14 +177,13 @@ def parse_config(text: str) -> ExperimentConfig:
             raise InvalidConfig(f"line {lineno}: key before any [section]")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in section_fields:
+        target = getattr(cfg, section)
+        if key not in {f.name for f in fields(target)}:
             raise InvalidConfig(f"line {lineno}: unknown key {key!r} in [{section}]")
         if (section, key) in seen:
             raise InvalidConfig(f"line {lineno}: repeated key {key!r} in [{section}]")
         seen.add((section, key))
-        target = getattr(cfg, section)
-        current = getattr(target, key)
-        setattr(target, key, _coerce(section, key, raw, type(current)))
+        setattr(target, key, _coerce(section, key, raw, type(getattr(target, key))))
     _validate(cfg)
     return cfg
 
@@ -220,7 +215,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise InvalidConfig(f"dataset kind {cfg.dataset.kind!r} requires a path")
     t.milestone_list()
     try:
-        bottom_heavy(SCHEDULES[cfg.model.schedule](), cfg.model.bottom_heavy_shift)
+        cfg.model.layout()
     except InvalidConfig as exc:
         raise InvalidConfig(f"[model] bottom_heavy_shift: {exc}") from None
     for key, text, built in (("[model] pool", cfg.model.pool, True),
@@ -236,10 +231,10 @@ def _validate(cfg: ExperimentConfig) -> None:
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form: fixed section and key order, one key per line."""
     lines = []
-    for section, klass in _SECTIONS.items():
-        lines.append(f"[{section}]")
-        target = getattr(cfg, section)
-        for f in fields(klass):
+    for section in fields(cfg):
+        lines.append(f"[{section.name}]")
+        target = getattr(cfg, section.name)
+        for f in fields(target):
             value = getattr(target, f.name)
             if isinstance(value, float):
                 value = repr(value)

@@ -3,9 +3,12 @@
 The synthetic generator builds a classification task whose signal lives
 almost entirely above the half-band frequency: each image is a smooth
 low-frequency background with one small high-frequency textured patch, and
-the label is the patch texture.  Naive stride-2 down-sampling aliases the
-textures onto each other, while anti-aliased pooling keeps them separable,
-which is exactly the contrast the training experiments measure.
+the label is the patch texture.  No pool separates the textures on raw
+pixels: of an even-aligned patch on a zero background, ``wavelet:haar`` and
+``avg`` leave zero for every texture, ``strided`` and ``max`` leave one
+patch identical for all four, and longer filters (db4, ``blur:1-2-1``)
+leave only terms at the patch edges.  A network tells the textures apart
+only through the convolutions before its first pool.
 
 File formats handled here, byte-exact:
 

@@ -34,7 +34,7 @@ class InvalidConfig(WavepoolError):
 
 
 class MissingArtifact(WavepoolError):
-    """A required file (teacher checkpoint, ...) is absent."""
+    """A checkpoint file does not exist."""
 
 
 class DatasetNotFound(WavepoolError):

@@ -8,6 +8,7 @@ library's own layer objects.
 """
 
 import contextlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -34,7 +35,13 @@ from wavepool.backbone import (
     resnet50_schedule,
     save_checkpoint,
 )
-from wavepool.errors import InvalidConfig, ShapeMismatch, UnsupportedFormat, WavepoolError
+from wavepool.errors import (
+    InvalidConfig,
+    MissingArtifact,
+    ShapeMismatch,
+    UnsupportedFormat,
+    WavepoolError,
+)
 from wavepool.ops import global_avg_pool, softmax_cross_entropy
 from wavepool.pooling import PoolKind, parse_pool
 
@@ -664,6 +671,11 @@ class TestCheckpoints:
         tensors = read_checkpoint(path)
         for name, arr in model.state():
             assert np.array_equal(tensors[name], arr)
+
+    def test_missing_file_raises_missing_artifact(self, tmp_path):
+        path = tmp_path / "absent.wvpk"
+        with pytest.raises(MissingArtifact, match=f"checkpoint not found: {re.escape(str(path))}"):
+            read_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -9,6 +9,7 @@ exit with code 2 and a message on standard error.
 import json
 import os
 import re
+import shutil
 import struct
 
 import numpy as np
@@ -472,6 +473,32 @@ class TestDataDir:
         assert main(["train", cfg_path]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @staticmethod
+    def kd_config(tmp_path):
+        text = override(tiny_config_text(tmp_path / "runs"),
+                        "[train]\nmode = kd\nteacher = t.wvpk\n")
+        return write_config(tmp_path / "kd.config", text)
+
+    def test_relative_teacher_joins_the_data_dir(self, trained_run, tmp_path, monkeypatch):
+        monkeypatch.delenv("WAVEPOOL_DATA_DIR", raising=False)
+        (tmp_path / "data").mkdir()
+        shutil.copy(trained_run["checkpoint"], tmp_path / "data" / "t.wvpk")
+        cfg_path = self.kd_config(tmp_path)
+        assert main(["train", cfg_path, "--data-dir", str(tmp_path / "data")]) == 0
+        assert (tmp_path / "runs" / f"metrics_{config_hash(load_config(cfg_path))}.csv").exists()
+
+    def test_teacher_beside_the_working_dir_only_exits_2(self, trained_run, tmp_path,
+                                                          monkeypatch, capsys):
+        # the data dir applies to the teacher as to the dataset, with no
+        # fallback to the working directory
+        (tmp_path / "data").mkdir()
+        shutil.copy(trained_run["checkpoint"], tmp_path / "t.wvpk")
+        monkeypatch.chdir(tmp_path)
+        cfg_path = self.kd_config(tmp_path)
+        assert main(["train", cfg_path, "--data-dir", str(tmp_path / "data")]) == 2
+        joined = os.path.join(str(tmp_path / "data"), "t.wvpk")
+        assert f"checkpoint not found: {joined}" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # count / alias / consistency
@@ -659,6 +686,21 @@ class TestConsistency:
         )
         assert code == 2
         assert "sample_limit" in capsys.readouterr().err
+
+
+class TestReportNames:
+    @pytest.mark.parametrize("command, stem", [
+        ("train", "metrics"), ("eval", "eval"), ("count", "count"), ("consistency", "consistency"),
+    ])
+    def test_json_carries_the_hash_in_its_name(self, trained_run, command, stem):
+        checkpoint = ["--checkpoint", str(trained_run["checkpoint"])]
+        extra = {"train": [], "count": [], "eval": checkpoint,
+                 "consistency": [*checkpoint, "--max-shift", "1", "--samples", "2"]}[command]
+        assert main([command, trained_run["config"], *extra]) == 0
+        digest = trained_run["digest"]
+        payload = json.loads((trained_run["outdir"] / f"{stem}_{digest}.json").read_text())
+        assert payload["metadata"]["config_hash"] == digest
+        assert (trained_run["outdir"] / f"{stem}_{digest}.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from wavepool.analysis import build_model_from_config
 from wavepool.autodiff import no_grad
 from wavepool.config import (
     _CHOICES,
-    _SECTIONS,
     ExperimentConfig,
     config_hash,
     load_config,
@@ -154,8 +153,8 @@ class TestParsing:
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("section, key", [
-        (section, f.name) for section, klass in _SECTIONS.items() for f in fields(klass)
-        if type(getattr(klass(), f.name)) is float
+        (s.name, f.name) for s in fields(ExperimentConfig) for f in fields(s.default_factory)
+        if type(getattr(s.default_factory(), f.name)) is float
     ])
     def test_non_finite_floats_rejected(self, section, key, raw):
         with pytest.raises(InvalidConfig, match=f"{key}: '{raw}' is not a finite number"):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavepool.analysis import spectrum_energy_fraction_above
+from wavepool.autodiff import Tensor
 from wavepool.data import (
     CIFAR_RECORD_BYTES,
     IMAGESET_MAGIC,
@@ -28,6 +29,7 @@ from wavepool.errors import (
     UnsupportedFormat,
     WavepoolError,
 )
+from wavepool.pooling import parse_pool
 
 
 def make_cifar_fixture_bytes(n=5, seed=20):
@@ -175,6 +177,23 @@ class TestTinyObjectSet:
     def test_all_textures_live_above_half_band(self, kind):
         patch = _texture(kind, 6)
         assert spectrum_energy_fraction_above(patch, np.pi / 2) >= 0.5
+
+    @pytest.mark.parametrize("size", [2, 4, 6])
+    def test_no_pool_separates_textures_on_raw_pixels(self, size):
+        """An even-aligned 0.3 patch of each texture on a zero 16x16 image:
+        haar and avg leave zero, strided and max one patch shared by all."""
+        outs = {pool: [] for pool in ("wavelet:haar", "avg", "strided", "max")}
+        for pool, out in outs.items():
+            for kind in range(len(TEXTURE_NAMES)):
+                img = np.zeros((1, 1, 16, 16))
+                img[0, 0, 4:4 + size, 6:6 + size] = 0.3 * _texture(kind, size)
+                out.append(parse_pool(pool).op()(Tensor(img)).data[0, 0])
+        for pool in ("wavelet:haar", "avg"):
+            assert max(np.abs(o).max() for o in outs[pool]) <= 3e-17, pool
+        shared = np.zeros((8, 8))
+        shared[2:2 + size // 2, 3:3 + size // 2] = 0.3
+        for pool in ("strided", "max"):
+            assert all(np.array_equal(o, shared) for o in outs[pool]), pool
 
     def test_size_validation(self):
         with pytest.raises(InvalidConfig):

@@ -1,7 +1,7 @@
 """The demos and README examples stay runnable: the four fast demos and
 each fenced ``python`` block of README.md run to exit 0 in a fresh process,
-and the training demo (about a minute) imports and builds its configs
-without training."""
+the training demo (about a minute) imports and builds its configs without
+training, and README's command block names every subcommand and flag."""
 
 import importlib.util
 import os
@@ -12,12 +12,22 @@ from pathlib import Path
 
 import pytest
 
+from wavepool.cli import build_parser
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 
 
 README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
                            re.MULTILINE | re.DOTALL)
+# the first fenced block after the "Command line" heading: one line per subcommand
+COMMAND_LINES = {
+    line.split()[1]: line
+    for line in (ROOT / "README.md").read_text().split("## Command line")[1]
+    .split("```")[1].splitlines()
+    if line.startswith("wavepool ")
+}
+SUBPARSERS = next(a for a in build_parser()._actions if a.dest == "command").choices
 
 
 def run_python(args, cwd):
@@ -57,3 +67,12 @@ def test_training_demo_imports():
     spec.loader.exec_module(demo)
     assert demo.config("max").train.mode == "plain"
     assert demo.config("max", mode="kd", teacher="t.wvpk").train.mode == "kd"
+
+
+@pytest.mark.parametrize("command", sorted(SUBPARSERS))
+def test_readme_command_line_names_every_flag(command):
+    line = COMMAND_LINES.get(command, "")
+    flags = [opt for action in SUBPARSERS[command]._actions for opt in action.option_strings
+             if opt.startswith("--") and opt != "--help"]
+    missing = [f for f in flags if not re.search(rf"(?<![\w-]){re.escape(f)}(?![\w-])", line)]
+    assert line and not missing, f"README's {command!r} line lacks {missing}"
