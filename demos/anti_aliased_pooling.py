@@ -20,26 +20,31 @@ POOLS = ["strided", "avg", "blur:1-2-1", "wavelet:haar", "wavelet:db4"]
 FREQS = [k * np.pi / 8 for k in (2, 4, 6, 8)]
 
 
-def main():
-    print("retained energy fraction by input frequency (64x64 plane waves)")
-    header = "pool            " + "".join(f"  {f / np.pi:4.2f}pi" for f in FREQS)
+def _label(freq):
+    return f"{freq / np.pi:.4f}pi"
+
+
+def _table(title, reports, freqs):
+    """One row of energy_ratio per pool, one column per frequency."""
+    print(title)
+    header = "pool            " + "".join(f"  {f / np.pi:4.2f}pi" for f in freqs)
     print(header)
     print("-" * len(header))
-    for pool in POOLS:
-        report = alias_energy_sweep(parse_pool(pool), FREQS)
-        cells = "".join(
-            f"  {report.value(f'energy_ratio@{f / np.pi:.4f}pi'):6.3f}" for f in FREQS
-        )
+    for pool, report in reports.items():
+        cells = "".join(f"  {report.value(f'energy_ratio@{_label(f)}'):6.3f}" for f in freqs)
         print(f"{pool:<16}{cells}")
 
-    print("\nfolded-below-Nyquist flags (1 = the kept energy is an alias)")
-    for pool in ("strided", "wavelet:haar"):
-        report = alias_energy_sweep(parse_pool(pool), FREQS)
-        flags = "".join(
-            f"  {int(report.value(f'folded_below_nyquist@{f / np.pi:.4f}pi')):6d}"
-            for f in FREQS
-        )
-        print(f"{pool:<16}{flags}")
+
+def main():
+    reports = {pool: alias_energy_sweep(parse_pool(pool), FREQS) for pool in POOLS}
+    _table("retained energy fraction by input frequency (64x64 plane waves)", reports, FREQS)
+
+    # the folding flag describes the probe (2w wraps past the output
+    # Nyquist), so it is the same for every pool
+    aliased = [f for f in FREQS
+               if reports["strided"].value(f"folded_below_nyquist@{_label(f)}")]
+    _table("\nenergy kept as alias (where 2w wraps past the output Nyquist)",
+           {pool: reports[pool] for pool in ("strided", "wavelet:haar")}, aliased)
 
     # A concrete casualty: a period-2 checkerboard is pure Nyquist texture.
     i, j = np.indices((8, 8))

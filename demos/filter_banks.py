@@ -23,7 +23,7 @@ def main():
     print("=" * 72)
     for name in NAMES:
         spec = parse_wavelet(name)
-        report = check_biorthogonality(spec)
+        residual = max(check_biorthogonality(spec).values())
         family = "orthogonal" if spec.orthogonal else "biorthogonal"
         print(f"\n{name}  ({family}, {spec.analysis_low.size} analysis taps)")
         print(f"  analysis low   {show(spec.analysis_low)}")
@@ -32,7 +32,7 @@ def main():
             print(f"  synthesis low  {show(spec.synthesis_low)}")
             print(f"  synthesis high {show(spec.synthesis_high)}")
         print(f"  low-pass sum   {np.sum(spec.analysis_low):.12f}  (sqrt(2))")
-        print(f"  duality residual {report.max_residual:.3e}")
+        print(f"  duality residual {residual:.3e}")
 
     print("\nquadrature mirror relation: high[n] = (-1)^n * dual_low[L-1-n]")
     spec = parse_wavelet("db2")

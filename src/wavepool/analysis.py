@@ -68,7 +68,7 @@ class MetricsReport:
 
     def write(self, outdir, stem: str) -> tuple[str, str]:
         """Write CSV and JSON next to each other; returns the two paths."""
-        os.makedirs(outdir, exist_ok=True)
+        os.makedirs(outdir or os.curdir, exist_ok=True)
         csv_path = os.path.join(outdir, stem + ".csv")
         json_path = os.path.join(outdir, stem + ".json")
         with open(csv_path, "w", encoding="utf-8") as f:
@@ -132,7 +132,8 @@ def alias_energy_sweep(pool: PoolKind, freqs) -> MetricsReport:
       occupies in the half-resolution signal;
     - ``folded_freq@...``: that landing frequency, in units of pi;
     - ``folded_below_nyquist@...``: 1.0 when the landing frequency had to
-      wrap (2w beyond the output band), the aliasing case.
+      wrap (2w beyond the output band), the aliasing case.  This row and
+      ``folded_freq`` describe the probe, so they are the same for every pool.
 
     The unit-ratio bound applies to energy-normalized linear pools: avg,
     blur, naive decimation, and orthonormal-wavelet pools (their analysis

@@ -30,7 +30,7 @@ import contextlib
 
 import numpy as np
 
-from .errors import MissingGradient, ShapeMismatch
+from .errors import ShapeMismatch
 
 _recording = True
 
@@ -179,11 +179,6 @@ class Parameter(Tensor):
     def __init__(self, data):
         super().__init__(data, requires_grad=True)
         self.momentum = np.zeros_like(self.data)
-
-    def materialized_grad(self) -> np.ndarray:
-        if self.grad is None:
-            raise MissingGradient("parameter has no gradient; run backward() first")
-        return self.grad
 
 
 def make_rng(seed: int) -> np.random.Generator:

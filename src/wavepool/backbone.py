@@ -144,8 +144,6 @@ def bottom_heavy(schedule: StageSchedule, shift: int = 2) -> StageSchedule:
         raise InvalidConfig("bottom_heavy needs at least 2 stages")
     if shift < 0:
         raise InvalidConfig(f"shift must be >= 0, got {shift}")
-    if shift == 0:
-        return schedule
     counts = [c for c, _w, _d in schedule.stages]
     if counts[-1] - shift < 1:
         raise InvalidConfig(

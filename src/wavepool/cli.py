@@ -3,19 +3,19 @@
 Subcommands: transform, train, eval, count, alias, consistency.  The
 config commands (train, eval, count, consistency) write a MetricsReport as
 CSV + JSON into the output directory, with the config hash embedded in the
-file names.  ``transform`` writes subband PGMs and ``energy.json``, and
-``alias`` writes ``alias_<pool>.csv``/``.json``; neither name carries a
-hash.  Reruns overwrite rather than append, so a command is idempotent for
-fixed inputs.  A config's dataset ``path`` and kd ``teacher`` are joined
-to the data dir (``--data-dir``, else ``$WAVEPOOL_DATA_DIR``) by
-``os.path.join``, which keeps an absolute path.  A domain error prints to
-standard error and exits 2.
+file names; ``train`` trains its configs one after another.  ``transform``
+writes subband PGMs and ``energy.json``, and ``alias`` writes
+``alias_<pool>.csv``/``.json``; neither name carries a hash.  An empty
+output directory is the working directory.  Reruns overwrite rather than
+append, so a command is idempotent for fixed inputs.  A config's dataset
+``path`` and kd ``teacher`` are joined to the data dir (``--data-dir``,
+else ``$WAVEPOOL_DATA_DIR``) by ``os.path.join``, which keeps an absolute
+path.  A domain error prints to standard error and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -63,7 +63,7 @@ def cmd_transform(args) -> int:
         image = image.mean(axis=0)  # PPM: transform the channel mean
     spec = parse_wavelet(args.wavelet)
     bands = dwt2d(image, spec)
-    os.makedirs(args.outdir, exist_ok=True)
+    os.makedirs(args.outdir or os.curdir, exist_ok=True)
 
     summary = {"wavelet": spec.name, "input": list(image.shape), "subbands": {}}
     named = {"ll": bands.ll, "lh": bands.lh, "hl": bands.hl, "hh": bands.hh}
@@ -93,23 +93,12 @@ def cmd_transform(args) -> int:
 # train / eval
 
 
-def _train_one(config_path: str, data_dir: str) -> str:
-    cfg = load_config(config_path)
-    ckpt_dir = os.path.join(cfg.output.dir, f"run_{config_hash(cfg)}", "checkpoints")
-    _model, report = train_model(cfg, data_dir=data_dir, checkpoint_dir=ckpt_dir)
-    return _write(cfg, "metrics", report)
-
-
 def cmd_train(args) -> int:
-    data_dir = _data_dir(args)
-    if args.jobs > 1 and len(args.configs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_train_one, c, data_dir) for c in args.configs]
-            for future in futures:
-                print(f"wrote {future.result()}")
-    else:
-        for config_path in args.configs:
-            print(f"wrote {_train_one(config_path, data_dir)}")
+    for config_path in args.configs:
+        cfg = load_config(config_path)
+        ckpt_dir = os.path.join(cfg.output.dir, f"run_{config_hash(cfg)}", "checkpoints")
+        _model, report = train_model(cfg, data_dir=_data_dir(args), checkpoint_dir=ckpt_dir)
+        print(f"wrote {_write(cfg, 'metrics', report)}")
     return 0
 
 
@@ -192,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train models from config files")
     p.add_argument("configs", nargs="+", help="experiment config file(s)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel configs")
     p.add_argument("--data-dir", default="", help="dataset root override")
     p.set_defaults(func=cmd_train)
 

@@ -10,7 +10,9 @@ that owns them (named below), and values the run would refuse only once
 its data is read (a ``bottom_heavy_shift`` the schedule cannot take; a
 pool, or in kd mode a teacher_pool, that cannot take the variant; a
 negative lr or period, lr_min above lr under cosine, a non-positive step
-factor, a kd alpha outside [0, 1] or a non-positive temperature).
+factor, a kd alpha outside [0, 1] or a non-positive temperature; a
+synthetic set the generator refuses).  Only an ``image_size`` too small
+for the schedule waits for the shape walk of the first forward.
 ``serialize_config(parse_config(text))`` is the identity on canonical
 form, and the canonical text is what gets hashed into output file names,
 so a config hash pins the exact experiment.
@@ -56,6 +58,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .backbone import SCHEDULES, VARIANTS, StageSchedule, bottom_heavy, check_variant
+from .data import check_tiny_object_args
 from .errors import InvalidConfig, InvalidHyperparameter, UnsupportedWavelet
 from .ops import PAD_MODES
 from .optim import LR_SCHEDULES
@@ -211,8 +214,15 @@ def _validate(cfg: ExperimentConfig) -> None:
     ):
         if bad:
             raise InvalidConfig(f"[train] {what}")
-    if cfg.dataset.kind in ("cifar100", "file") and not cfg.dataset.path:
-        raise InvalidConfig(f"dataset kind {cfg.dataset.kind!r} requires a path")
+    ds = cfg.dataset
+    if ds.kind in ("cifar100", "file") and not ds.path:
+        raise InvalidConfig(f"dataset kind {ds.kind!r} requires a path")
+    if ds.kind == "synthetic":
+        try:
+            for n in (ds.n_train, ds.n_test):
+                check_tiny_object_args(n, ds.image_size, ds.object_size, ds.classes)
+        except InvalidConfig as exc:
+            raise InvalidConfig(f"[dataset] {exc}") from None
     t.milestone_list()
     try:
         cfg.model.layout()

@@ -161,6 +161,22 @@ def _smooth_background(rng, size: int, channels: int) -> np.ndarray:
     return bg
 
 
+def check_tiny_object_args(n: int, image_size: int, object_size: int, classes: int) -> None:
+    """Raise InvalidConfig unless ``make_tiny_object_set`` can build this set."""
+    if n < 1:
+        raise InvalidConfig(f"n must be >= 1 (empty set refused), got {n}")
+    if not 2 <= object_size <= 8:
+        raise InvalidConfig(f"object_size must be in [2, 8], got {object_size}")
+    if object_size >= image_size / 4:
+        raise InvalidConfig(
+            f"object_size {object_size} must be < image_size/4 = {image_size / 4:g}"
+        )
+    if image_size % 2:
+        raise InvalidConfig(f"image_size must be even, got {image_size}")
+    if not 2 <= classes <= len(TEXTURE_NAMES):
+        raise InvalidConfig(f"classes must be in [2, {len(TEXTURE_NAMES)}], got {classes}")
+
+
 def make_tiny_object_set(
     n: int,
     image_size: int = 32,
@@ -174,19 +190,7 @@ def make_tiny_object_set(
     position, its texture determined by the label.  Classes are balanced to
     within one sample.  Deterministic per seed.
     """
-    if n < 1:
-        raise InvalidConfig("n must be >= 1 (empty set refused)")
-    if not 2 <= object_size <= 8:
-        raise InvalidConfig(f"object_size must be in [2, 8], got {object_size}")
-    if object_size >= image_size / 4:
-        raise InvalidConfig(
-            f"object_size {object_size} must be < image_size/4 = {image_size / 4:g}"
-        )
-    if image_size % 2:
-        raise InvalidConfig(f"image_size must be even, got {image_size}")
-    if not 2 <= classes <= len(TEXTURE_NAMES):
-        raise InvalidConfig(f"classes must be in [2, {len(TEXTURE_NAMES)}], got {classes}")
-
+    check_tiny_object_args(n, image_size, object_size, classes)
     rng = make_rng(seed)
     labels = np.arange(n, dtype=np.int64) % classes
     rng.shuffle(labels)

@@ -25,13 +25,12 @@ double for Daubechies) and are re-validated by the test suite through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnsupportedWavelet
 
-_SQRT2 = math.sqrt(2.0)
 _INVSQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -74,21 +73,6 @@ class WaveletSpec:
     def synthesis_high_offset(self) -> int:
         """Support shift aligning synthesis_high with analysis_high."""
         return (self.analysis_high.size - self.synthesis_high.size) // 2
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Maximum absolute violation of each filter-duality condition.
-
-    Conditions, over every integer shift m (filters center-aligned):
-      low/low:   sum_n l[n] * l~[n - 2m] = delta_m
-      high/high: sum_n h[n] * h~[n - 2m] = delta_m
-      low/high:  sum_n l[n] * h~[n - 2m] = 0
-      high/low:  sum_n h[n] * l~[n - 2m] = 0
-    """
-
-    residuals: dict[str, float] = field(repr=False)
-    max_residual: float = 0.0
 
 
 def _qmf(low_dual: np.ndarray) -> np.ndarray:
@@ -221,8 +205,14 @@ def supported_wavelets() -> tuple[str, ...]:
     return tuple(_WAVELETS)
 
 
-def check_biorthogonality(spec: WaveletSpec) -> ResidualReport:
-    """Evaluate the four filter-duality conditions, center-aligned.
+def check_biorthogonality(spec: WaveletSpec) -> dict[str, float]:
+    """Maximum absolute violation of each filter-duality condition, keyed
+    by condition, over every integer shift m (filters center-aligned):
+
+      low_low:   sum_n l[n] * l~[n - 2m] = delta_m
+      high_high: sum_n h[n] * h~[n - 2m] = delta_m
+      low_high:  sum_n l[n] * h~[n - 2m] = 0
+      high_low:  sum_n h[n] * l~[n - 2m] = 0
 
     For orthogonal specs (synthesis = analysis) this reduces to the usual
     orthonormality conditions sum_n l[n] l[n-2m] = delta_m.
@@ -242,4 +232,4 @@ def check_biorthogonality(spec: WaveletSpec) -> ResidualReport:
         if is_delta:
             corr[k // 2] -= 1.0
         residuals[cond] = float(np.max(np.abs(corr)))
-    return ResidualReport(residuals=residuals, max_residual=max(residuals.values()))
+    return residuals

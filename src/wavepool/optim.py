@@ -18,7 +18,7 @@ import math
 from collections.abc import Iterable, Sequence
 
 from .autodiff import Parameter
-from .errors import InvalidHyperparameter
+from .errors import InvalidHyperparameter, MissingGradient
 
 
 def sgd_step(
@@ -28,11 +28,13 @@ def sgd_step(
     weight_decay: float = 0.0,
 ) -> None:
     """One in-place SGD update over ``params``; raises MissingGradient if a
-    parameter has no materialized gradient."""
+    parameter has no gradient."""
     if lr < 0:
         raise InvalidHyperparameter(f"lr must be >= 0, got {lr}")
     for p in params:
-        g = p.materialized_grad()
+        g = p.grad
+        if g is None:
+            raise MissingGradient("parameter has no gradient; run backward() first")
         if weight_decay:
             g = g + weight_decay * p.data
         p.momentum *= momentum

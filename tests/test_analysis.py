@@ -223,6 +223,19 @@ class TestAliasEnergySweep:
         assert report.value("energy_ratio@1.0000pi") <= 1e-20
         assert report.value("folded_fraction@1.0000pi") == 0.0
 
+    @pytest.mark.parametrize(
+        "pool_text", ["strided", "avg", "max", "blur:1-2-1", "wavelet:haar", "wavelet:db4"]
+    )
+    def test_folding_rows_describe_the_probe_not_the_pool(self, pool_text):
+        # where 2w lands, and whether it wraps, depend on w alone; the
+        # energy a pool keeps as alias is its energy_ratio where the flag is 1
+        freqs = [k * PI / 8 for k in (2, 4, 6, 8)]
+        report = alias_energy_sweep(parse_pool(pool_text), freqs)
+        landed = [report.value(f"folded_freq@{f / PI:.4f}pi") for f in freqs]
+        wrapped = [report.value(f"folded_below_nyquist@{f / PI:.4f}pi") for f in freqs]
+        assert landed == [0.5, 1.0, 0.5, 0.0]
+        assert wrapped == [0.0, 0.0, 1.0, 1.0]
+
     def test_off_grid_frequency_rejected(self):
         with pytest.raises(InvalidConfig):
             alias_energy_sweep(parse_pool("avg"), [0.77])

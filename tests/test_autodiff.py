@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavepool.autodiff import Parameter, Tensor, make_rng, no_grad
-from wavepool.errors import MissingGradient, ShapeMismatch
+from wavepool.errors import ShapeMismatch
 from wavepool.ops import linear, relu
 
 
@@ -106,11 +106,6 @@ class TestParameter:
         p = Parameter(np.zeros((2, 2)))
         assert p.momentum.shape == (2, 2) and np.all(p.momentum == 0.0)
         assert p.requires_grad
-
-    def test_missing_gradient(self):
-        p = Parameter(np.ones(3))
-        with pytest.raises(MissingGradient):
-            p.materialized_grad()
 
 
 class TestRng:

@@ -176,6 +176,13 @@ class TestTransform:
         self.transform(src, outdir)
         assert (outdir / "energy.json").read_bytes() == first
 
+    def test_empty_outdir_is_the_working_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_pgm(tmp_path / "flat.pgm", np.full((8, 8), 0.5))
+        assert main(["transform", "flat.pgm", "--outdir", ""]) == 0
+        for name in ("ll.pgm", "lowpass.pgm", "energy.json"):
+            assert (tmp_path / name).exists()
+
     def test_ascii_pgm_rejected(self, tmp_path, capsys):
         src = tmp_path / "ascii.pgm"
         src.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
@@ -244,7 +251,7 @@ class TestTrain:
         assert "wrote" in capsys.readouterr().out
         assert trained_run["csv"].read_bytes() == trained_run["csv_bytes"]
 
-    def test_jobs_runs_configs_in_parallel(self, tmp_path):
+    def test_trains_configs_in_turn(self, tmp_path):
         outdir = tmp_path / "runs"
         paths, digests = [], []
         for seed in (5, 6):
@@ -252,7 +259,7 @@ class TestTrain:
             paths.append(write_config(tmp_path / f"s{seed}.config", text))
             digests.append(config_hash(load_config(paths[-1])))
         assert digests[0] != digests[1]
-        assert main(["train", *paths, "--jobs", "2"]) == 0
+        assert main(["train", *paths]) == 0
         for digest in digests:
             assert (outdir / f"metrics_{digest}.csv").exists()
 
@@ -330,6 +337,25 @@ class TestTrain:
         assert main(["train", write_config(tmp_path / "bad.config", text)]) == 2
         assert "[model] bottom_heavy_shift" in capsys.readouterr().err
         assert not opened and not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("lines", ["n_test = 0", "object_size = 9", "classes = 5",
+                                       "image_size = 15", "object_size = 4"])
+    def test_bad_synthetic_set_exits_2_before_reading_data(self, tmp_path, capsys,
+                                                           monkeypatch, lines):
+        opened = []
+        monkeypatch.setattr(analysis, "load_dataset", lambda *a, **k: opened.append(a))
+        text = override(tiny_config_text(tmp_path / "runs"), f"[dataset]\n{lines}\n")
+        assert main(["train", write_config(tmp_path / "bad.config", text)]) == 2
+        assert "[dataset]" in capsys.readouterr().err
+        assert not opened and not (tmp_path / "runs").exists()
+
+    def test_empty_output_dir_is_the_working_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path / "here.config", tiny_config_text(""))
+        assert main(["train", path]) == 0
+        digest = config_hash(load_config(path))
+        assert (tmp_path / f"metrics_{digest}.csv").exists()
+        assert (tmp_path / f"run_{digest}" / "checkpoints").is_dir()
 
     @pytest.mark.parametrize("extra, key", [
         ("[model]\npool = strided\n", "[model] pool"),
@@ -608,6 +634,11 @@ class TestAlias:
         rows = read_metric_rows(tmp_path / "alias_blur_1-2-1.csv")
         for tag in ("0.2500", "0.5000", "0.7500", "1.0000"):
             assert f"energy_ratio@{tag}pi" in rows
+
+    def test_empty_outdir_is_the_working_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["alias", "wavelet:haar", "--outdir", ""]) == 0
+        assert (tmp_path / "alias_wavelet_haar.csv").exists()
 
     def test_slug_escapes_dots(self, tmp_path):
         assert main(["alias", "wavelet:ch3.3", "--freqs", "0.5", "--outdir", str(tmp_path)]) == 0

@@ -131,6 +131,22 @@ class TestParsing:
         with pytest.raises(InvalidConfig, match=rf"\[train\] {key}"):
             parse_config(f"[train]\n{lines}\n")
 
+    @pytest.mark.parametrize("lines, message", [
+        ("n_test = 0", "n must be >= 1"),
+        ("n_train = 0", "n must be >= 1"),
+        ("object_size = 9", "object_size must be in"),
+        ("classes = 5", "classes must be in"),
+        ("image_size = 33\nobject_size = 2", "image_size must be even"),
+        ("image_size = 24", "must be < image_size/4"),
+    ])
+    def test_synthetic_set_refused_at_parse_time(self, lines, message):
+        # the generator's own rule, applied before any image is made
+        with pytest.raises(InvalidConfig, match=rf"\[dataset\] .*{message}"):
+            parse_config(f"[dataset]\n{lines}\n")
+
+    def test_synthetic_rule_skips_file_datasets(self):
+        parse_config("[dataset]\nkind = file\npath = x.wvds\nn_test = 0\nimage_size = 7\n")
+
     @pytest.mark.parametrize("schedule, shift", [("micro", -1), ("micro", 2), ("resnet50", 3)])
     def test_bottom_heavy_shift_refused_at_parse_time(self, schedule, shift):
         with pytest.raises(InvalidConfig, match=r"\[model\] bottom_heavy_shift"):

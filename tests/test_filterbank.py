@@ -41,7 +41,7 @@ class TestHaar:
         np.testing.assert_array_equal(spec.analysis_high, spec.synthesis_high)
 
     def test_residual_below_1e15(self):
-        assert check_biorthogonality(parse_wavelet("haar")).max_residual < 1e-15
+        assert max(check_biorthogonality(parse_wavelet("haar")).values()) < 1e-15
 
 
 class TestDaubechies:
@@ -127,12 +127,12 @@ class TestNormalization:
 class TestBiorthogonality:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_residual_below_1e10(self, name):
-        report = check_biorthogonality(parse_wavelet(name))
-        assert report.max_residual <= 1e-10, report.residuals
+        residuals = check_biorthogonality(parse_wavelet(name))
+        assert max(residuals.values()) <= 1e-10, residuals
 
     def test_report_has_four_conditions(self):
-        report = check_biorthogonality(parse_wavelet("ch3.3"))
-        assert set(report.residuals) == {"low_low", "high_high", "low_high", "high_low"}
+        residuals = check_biorthogonality(parse_wavelet("ch3.3"))
+        assert set(residuals) == {"low_low", "high_high", "low_high", "high_low"}
 
     def test_degenerate_spec_flagged(self):
         # analysis_high = analysis_low violates the cross conditions by >= 1
@@ -144,7 +144,7 @@ class TestBiorthogonality:
             synthesis_low=good.synthesis_low,
             synthesis_high=good.synthesis_low,
         )
-        assert check_biorthogonality(bad).max_residual >= 1.0 - 1e-9
+        assert max(check_biorthogonality(bad).values()) >= 1.0 - 1e-9
 
     @staticmethod
     def _oracle(spec):
@@ -194,10 +194,9 @@ class TestBiorthogonality:
         for spec in specs:
             got = check_biorthogonality(spec)
             want = self._oracle(spec)
-            assert got.residuals.keys() == want.keys()
+            assert got.keys() == want.keys()
             for cond in want:
-                assert abs(got.residuals[cond] - want[cond]) <= 1e-15, (spec.name, cond)
-            assert got.max_residual == max(got.residuals.values())
+                assert abs(got[cond] - want[cond]) <= 1e-15, (spec.name, cond)
 
     @pytest.mark.parametrize("name", ["haar", "db2", "db3", "db4"])
     def test_orthonormal_shifts(self, name):
