@@ -4,7 +4,8 @@ A Tensor wraps a numpy float array plus an optional tape node: the tuple of
 parent tensors and a closure mapping the output gradient to parent
 gradients.  Calling ``backward()`` on a scalar loss, or with an explicit
 seed of the value's shape, walks the tape once in reverse topological order
-and accumulates ``.grad`` arrays on every leaf that requires gradient.
+(``graphlib``'s, reversed) and accumulates ``.grad`` arrays on every leaf
+that requires gradient.
 
 The operators a Tensor defines itself are the same-shape ``+`` of the
 residual connection and scaling by a constant.  Every other differentiable
@@ -27,6 +28,7 @@ every weight init and batch shuffle.
 from __future__ import annotations
 
 import contextlib
+import graphlib
 
 import numpy as np
 
@@ -74,10 +76,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -136,22 +134,14 @@ class Tensor:
 
 
 def _toposort(root: Tensor):
-    """Iterative depth-first postorder, returned in reverse (root first)."""
-    order, visited, stack = [], set(), [(root, False)]
+    """The tape below ``root``, each tensor before its parents (root first)."""
+    graph, stack = {}, [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited:
-                stack.append((p, False))
-    order.reverse()
-    return order
+        node = stack.pop()
+        if node not in graph:
+            graph[node] = node._parents
+            stack.extend(node._parents)
+    return list(graphlib.TopologicalSorter(graph).static_order())[::-1]
 
 
 def is_recorded(parents) -> bool:

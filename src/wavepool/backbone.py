@@ -45,6 +45,7 @@ zero padding remains available via ``conv_pad="same"``.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -603,13 +604,13 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
             off += 1
             shape = struct.unpack_from(f"<{ndim}I", blob, off)
             off += 4 * ndim
-            n = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+            n = math.prod(shape)
             arr = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(shape)
             off += 8 * n
             if name in tensors:
                 raise UnsupportedFormat(f"{path}: tensor {name!r} appears twice")
             tensors[name] = arr.astype(np.float64)
-    except (struct.error, ValueError) as exc:
+    except (struct.error, ValueError, OverflowError) as exc:
         raise UnsupportedFormat(f"{path}: truncated or corrupt checkpoint") from exc
     if off != len(blob):
         raise UnsupportedFormat(f"{path}: {len(blob) - off} bytes after the last tensor")

@@ -172,6 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
         "training experiments, and aliasing reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data-dir", default="", help="dataset root override")
 
     p = sub.add_parser("transform", help="decompose an image into subbands")
     p.add_argument("input", help="binary PGM/PPM file")
@@ -179,22 +181,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", default="transform_out")
     p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("train", help="train models from config files")
+    p = sub.add_parser("train", parents=[data], help="train models from config files")
     p.add_argument("configs", nargs="+", help="experiment config file(s)")
-    p.add_argument("--data-dir", default="", help="dataset root override")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
+    p = sub.add_parser("eval", parents=[data], help="evaluate a checkpoint on the test split")
     p.add_argument("config")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data-dir", default="")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("count", help="parameter and FLOP counters")
+    p = sub.add_parser("count", parents=[data], help="parameter and FLOP counters")
     p.add_argument("config")
     p.add_argument("--height", type=int, default=None)
     p.add_argument("--width", type=int, default=None)
-    p.add_argument("--data-dir", default="", help="dataset root override")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("alias", help="alias energy sweep for one pool kind")
@@ -204,12 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", default="alias_out")
     p.set_defaults(func=cmd_alias)
 
-    p = sub.add_parser("consistency", help="shift-consistency of a checkpoint")
+    p = sub.add_parser("consistency", parents=[data], help="shift-consistency of a checkpoint")
     p.add_argument("config")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--max-shift", type=int, default=4)
     p.add_argument("--samples", type=int, default=0, help="0 = full test set")
-    p.add_argument("--data-dir", default="")
     p.set_defaults(func=cmd_consistency)
     return parser
 

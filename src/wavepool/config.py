@@ -1,7 +1,8 @@
 """Experiment configuration: plain-text key=value files with sections.
 
-A config file is line-oriented: ``[section]`` headers, ``key = value``
-pairs, blank lines and ``#`` comments ignored.  Unknown sections or keys
+A config file is UTF-8 text (a leading byte order mark is skipped) and
+line-oriented: ``[section]`` headers, ``key = value`` pairs, blank lines
+and ``#`` comments ignored.  Unknown sections or keys
 are rejected rather than silently dropped, and a key set twice in a
 section (headers may repeat) rather than letting the last value win, so a
 typo cannot quietly change an experiment; so are non-finite floats, pool
@@ -255,10 +256,12 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             return parse_config(f.read())
     except FileNotFoundError:
         raise InvalidConfig(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -13,7 +13,7 @@ convolutions plus wavelet pooling achieve perfect consistency under
 full-stride input shifts.
 
 Convolution is one GEMM per direction on a channel-major column matrix
-(im2col): a strided view of the padded input, reshaped to
+(im2col): numpy's ``sliding_window_view`` of the padded input, reshaped to
 (C*kh*kw, N*Ho*Wo).  Forward is ``w2 @ cols`` with one transpose to NCHW;
 backward computes ``dw = g2 @ cols.T`` and ``dcols = w2.T @ g2``, and folds
 dcols back with kh*kw strided slice additions into a zeroed (C, N, Hp, Wp)
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor, is_recorded, make_op
 from .errors import InputTooShort, InvalidHyperparameter, OddLengthInput, ShapeMismatch
@@ -123,13 +123,9 @@ def conv2d(x, w, b=None, stride: int = 1, *, pad: str) -> Tensor:
     pointwise = kh == kw == stride == 1
 
     parents = (x, w) if b is None else (x, w, b)
-    sn, sc, sh, sw = xp.strides
-    view = as_strided(
-        xp,
-        shape=(C, kh, kw, N, Ho, Wo),
-        strides=(sc, sh, sw, sn, sh * stride, sw * stride),
-        writeable=False,
-    )
+    # (C, kh, kw, N, Ho, Wo): the column matrix as a view of xp
+    view = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride].transpose(
+        1, 4, 5, 0, 2, 3)
 
     if pointwise:
         out = (w2 @ xp.reshape(N, C, H * W)).reshape(N, F, H, W)
@@ -301,7 +297,9 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def _check_logits_labels(logits: Tensor, labels: np.ndarray) -> np.ndarray:
+def _cross_entropy(logits: Tensor, labels) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy between softmax(logits) and integer labels, and
+    its gradient times the batch size (softmax minus one-hot)."""
     labels = np.asarray(labels)
     if logits.ndim != 2:
         raise ShapeMismatch(f"need (batch, classes) logits, got {logits.shape}")
@@ -309,23 +307,19 @@ def _check_logits_labels(logits: Tensor, labels: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(f"labels must be {logits.shape[0]} integers, got {labels.shape}")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[1]:
         raise ShapeMismatch("label id outside class range")
-    return labels
+    rows = np.arange(logits.shape[0])
+    logp = _log_softmax(logits.data)
+    dz = np.exp(logp)
+    dz[rows, labels] -= 1.0
+    return -logp[rows, labels].mean(), dz
 
 
 def softmax_cross_entropy(logits, labels) -> Tensor:
     """Mean cross-entropy between softmax(logits) and integer labels."""
     logits = _as_tensor(logits)
-    labels = _check_logits_labels(logits, labels)
+    loss, dz = _cross_entropy(logits, labels)
     N = logits.shape[0]
-    logp = _log_softmax(logits.data)
-    loss = -logp[np.arange(N), labels].mean()
-
-    def backward_fn(g):
-        dz = np.exp(logp)
-        dz[np.arange(N), labels] -= 1.0
-        return (g * dz / N,)
-
-    return make_op(np.asarray(loss), (logits,), backward_fn)
+    return make_op(np.asarray(loss), (logits,), lambda g: (g * dz / N,))
 
 
 def kd_loss(student_logits, teacher_logits, hard_labels, temperature: float = 4.0,
@@ -343,16 +337,13 @@ def kd_loss(student_logits, teacher_logits, hard_labels, temperature: float = 4.
     if not 0.0 <= mix <= 1.0:
         raise InvalidHyperparameter(f"mix must lie in [0, 1], got {mix}")
     student = _as_tensor(student_logits)
-    labels = _check_logits_labels(student, hard_labels)
+    ce, d_hard = _cross_entropy(student, hard_labels)
     teacher = teacher_logits.data if isinstance(teacher_logits, Tensor) else np.asarray(
         teacher_logits, dtype=np.float64)
     if teacher.shape != student.shape:
         raise ShapeMismatch(f"teacher logits {teacher.shape} != student {student.shape}")
     N = student.shape[0]
     T = float(temperature)
-
-    logp_hard = _log_softmax(student.data)
-    ce = -logp_hard[np.arange(N), labels].mean()
 
     logq = _log_softmax(student.data / T)
     logp_t = _log_softmax(teacher / T)
@@ -361,8 +352,6 @@ def kd_loss(student_logits, teacher_logits, hard_labels, temperature: float = 4.
     loss = mix * ce + (1.0 - mix) * T * T * kl
 
     def backward_fn(g):
-        d_hard = np.exp(logp_hard)
-        d_hard[np.arange(N), labels] -= 1.0
         d_soft = np.exp(logq) - p_t
         return (g * (mix * d_hard + (1.0 - mix) * T * d_soft) / N,)
 

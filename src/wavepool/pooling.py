@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor, make_op
 from .errors import InvalidHyperparameter
@@ -198,11 +199,8 @@ def max_pool2(x) -> Tensor:
     x = _as_tensor(x)
     N, C, H, W = _as_input(x.data, 2, "max_pool2", 4).shape
     # windows in row-major order (0,0), (0,1), (1,0), (1,1) on the last axis
-    win = (
-        x.data.reshape(N, C, H // 2, 2, W // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(N, C, H // 2, W // 2, 4)
-    )
+    win = sliding_window_view(x.data, (2, 2), axis=(2, 3))[:, :, ::2, ::2].reshape(
+        N, C, H // 2, W // 2, 4)
     amax = win.argmax(axis=-1)
     out = np.take_along_axis(win, amax[..., None], axis=-1)[..., 0]
 

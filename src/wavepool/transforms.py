@@ -23,9 +23,10 @@ along one axis is ``_split`` (both analysis filters) and its inverse ``_merge``
 (both synthesis filters, summed); a 2D level splits along width then height
 and merges back in reverse.  ``_analyze_ll`` and its exact adjoint
 ``_analyze_ll_adjoint`` run one filter along both trailing axes, accept
-arbitrary leading batch axes and back every linear pooling layer.  Each call
-of the pair writes every tap's product into one buffer it allocates once and
-reuses, rather than a fresh temporary per tap.
+arbitrary leading batch axes and back every linear pooling layer; with the
+synthesis low-pass, the adjoint is also ``reconstruct_lowpass``'s 2D
+synthesis.  Each call of the pair writes every tap's product into one
+buffer it allocates once and reuses, rather than a fresh temporary per tap.
 """
 
 from __future__ import annotations
@@ -181,9 +182,8 @@ def reconstruct_lowpass(X, spec: WaveletSpec) -> np.ndarray:
     (hence idempotent); it is what the anti-aliasing analysis measures.
     Only ll is analyzed and synthesized: the zero bands add nothing."""
     X = _as_input(X, spec.max_length, "reconstruct_lowpass", 2)
-    lo = spec.synthesis_low_offset
-    rows = _synthesize(_analyze_ll(X, spec.analysis_low), spec.synthesis_low, lo, axis=-2)
-    return _synthesize(rows, spec.synthesis_low, lo)
+    ll = _analyze_ll(X, spec.analysis_low)
+    return _analyze_ll_adjoint(ll, spec.synthesis_low, spec.synthesis_low_offset)
 
 
 def _analyze_ll(x: np.ndarray, filt: np.ndarray, offset: int = 0) -> np.ndarray:
@@ -199,6 +199,7 @@ def _analyze_ll_adjoint(g: np.ndarray, filt: np.ndarray, offset: int = 0) -> np.
     For a wavelet this is the transpose of the analysis operator applied to
     a gradient living in the LL slot (detail slots zero): it runs the
     analysis filter, not the synthesis filter; for biorthogonal wavelets the
-    two differ and only the former is the true gradient.
+    two differ and only the former is the true gradient.  Run with the
+    synthesis low-pass and its offset, it is the LL synthesis instead.
     """
     return _synthesize(_synthesize(g, filt, offset), filt, offset, axis=-2)

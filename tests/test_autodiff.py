@@ -21,7 +21,7 @@ class TestTensorBasics:
 
     def test_item_and_shape(self):
         t = Tensor([[1.0, 2.0]])
-        assert t.shape == (1, 2) and t.ndim == 2 and t.size == 2
+        assert t.shape == (1, 2) and t.ndim == 2 and t.data.size == 2
         assert Tensor(5.0).item() == 5.0
 
     def test_backward_requires_scalar(self):

@@ -717,6 +717,17 @@ class TestCheckpoints:
             load_checkpoint(model, path)
         assert not np.any(dict(model.state())["head.fc.bias"] == 7.0)
 
+    @pytest.mark.parametrize("shape", [(2**32 - 1,) * 2, (2**31, 2**31, 4), (2**16,) * 4])
+    def test_tensor_too_large_for_an_index_rejected(self, tmp_path, shape):
+        # element counts of 2**63 or more; (2**31, 2**31, 4) is 2**64
+        import struct
+
+        path = tmp_path / "huge.wvpk"
+        header = struct.pack(f"<IIHsB{len(shape)}I", 1, 1, 1, b"t", len(shape), *shape)
+        path.write_bytes(b"WVPK" + header + bytes(16))
+        with pytest.raises(UnsupportedFormat, match="truncated or corrupt"):
+            read_checkpoint(path)
+
     @pytest.fixture(scope="class")
     def saved_blob(self, tmp_path_factory):
         """A small net's checkpoint bytes, and a directory to write variants to."""

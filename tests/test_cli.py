@@ -605,6 +605,14 @@ class TestCount:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.config"
+        text = "# r\u00e9sum\u00e9 of the run\n" + tiny_config_text(tmp_path / "runs")
+        path.write_bytes(text.encode("latin-1"))
+        assert main(["count", str(path)]) == 2
+        assert f"{path}: not UTF-8 text (byte 3)" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_pool_input_below_filter_length_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(
             tmp_path / "ch55.config", tiny_config_text(tmp_path / "runs", pool="wavelet:ch5.5")

@@ -276,6 +276,14 @@ class TestSerialization:
         with pytest.raises(InvalidConfig):
             load_config(tmp_path / "missing.cfg")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = SAMPLE[SAMPLE.index("[dataset]"):]
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert load_config(marked) == load_config(plain)
+        assert config_hash(load_config(marked)) == config_hash(load_config(plain))
+
 
 class TestImageIo:
     def test_pgm_8bit_round_trip(self, tmp_path):
