@@ -1,5 +1,8 @@
 """Differentiable network operations built on the autodiff tape.
 
+Every op takes Tensors; arrays enter at ``Network.forward`` (and
+``kd_loss``'s teacher, a constant, may be one).
+
 Layout convention: image tensors are (batch, channel, height, width);
 convolution weights are (out_channels, in_channels, kh, kw); linear weights
 are (out_features, in_features).  Convolution is cross-correlation (no
@@ -57,10 +60,6 @@ BN_EPS = 1e-5
 _scratch: dict[str, np.ndarray] = {}
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _scratch_view(slot: str, shape) -> np.ndarray:
     """A C-contiguous float64 array of ``shape`` over the prefix of slot
     ``slot``'s buffer, which grows to the largest request."""
@@ -82,7 +81,6 @@ def conv2d(x, w, b=None, stride: int = 1, *, pad: str) -> Tensor:
     stride : 1 or 2
     pad : one of ``PAD_MODES``
     """
-    x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeMismatch(f"conv2d: need 4D input/weight, got {x.shape} and {w.shape}")
     N, C, H, W = x.shape
@@ -95,10 +93,8 @@ def conv2d(x, w, b=None, stride: int = 1, *, pad: str) -> Tensor:
         raise InvalidHyperparameter(f"conv2d: pad must be one of {PAD_MODES}, got {pad!r}")
     if stride == 2 and (H % 2 or W % 2):
         raise OddLengthInput(f"conv2d: stride 2 requires even spatial dims, got {H}x{W}")
-    if b is not None:
-        b = _as_tensor(b)
-        if b.shape != (F,):
-            raise ShapeMismatch(f"conv2d: bias shape {b.shape} != ({F},)")
+    if b is not None and b.shape != (F,):
+        raise ShapeMismatch(f"conv2d: bias shape {b.shape} != ({F},)")
 
     if kh % 2 == 0 or kw % 2 == 0:
         raise InvalidHyperparameter(f"conv2d: {pad} padding requires odd kernels, got {kh}x{kw}")
@@ -123,9 +119,11 @@ def conv2d(x, w, b=None, stride: int = 1, *, pad: str) -> Tensor:
     pointwise = kh == kw == stride == 1
 
     parents = (x, w) if b is None else (x, w, b)
-    # (C, kh, kw, N, Ho, Wo): the column matrix as a view of xp
-    view = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride].transpose(
-        1, 4, 5, 0, 2, 3)
+
+    def columns():
+        # the (C, kh, kw, N, Ho, Wo) column matrix as a view of xp
+        return sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride].transpose(
+            1, 4, 5, 0, 2, 3)
 
     if pointwise:
         out = (w2 @ xp.reshape(N, C, H * W)).reshape(N, F, H, W)
@@ -133,7 +131,7 @@ def conv2d(x, w, b=None, stride: int = 1, *, pad: str) -> Tensor:
         # no name holds the columns: they are freed before the output is
         # copied out
         out = np.ascontiguousarray(
-            (w2 @ view.reshape(K, M)).reshape(F, N, Ho, Wo).transpose(1, 0, 2, 3))
+            (w2 @ columns().reshape(K, M)).reshape(F, N, Ho, Wo).transpose(1, 0, 2, 3))
     if b is not None:
         out += b.data[None, :, None, None]
 
@@ -143,8 +141,8 @@ def conv2d(x, w, b=None, stride: int = 1, *, pad: str) -> Tensor:
         g2 = g2.reshape(F, M)
         dw = None
         if w.requires_grad:
-            cols = _scratch_view("cols", view.shape)
-            np.copyto(cols, view)
+            cols = _scratch_view("cols", (C, kh, kw, N, Ho, Wo))
+            np.copyto(cols, columns())
             dw = (g2 @ cols.reshape(K, M).T).reshape(w.shape)
         dx = None
         if x.requires_grad and pointwise:
@@ -187,8 +185,6 @@ def batchnorm2d(
     variance estimate enters the buffer).  In eval mode the running buffers
     normalize, making the op a fixed per-channel affine map.
     """
-    x = _as_tensor(x)
-    gamma, beta = _as_tensor(gamma), _as_tensor(beta)
     if x.ndim != 4:
         raise ShapeMismatch(f"batchnorm2d: need 4D input, got {x.shape}")
     C = x.shape[1]
@@ -250,7 +246,6 @@ def batchnorm2d(
 
 
 def relu(x) -> Tensor:
-    x = _as_tensor(x)
     # fmax drops NaN and adding +0.0 turns -0.0 into 0.0, so this matches
     # np.where(x > 0, x, 0.0) in one pass
     out = np.fmax(x.data, 0.0)
@@ -264,7 +259,6 @@ def relu(x) -> Tensor:
 
 def linear(x, w, b) -> Tensor:
     """Affine map: out = x @ w.T + b, with w of shape (out, in)."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeMismatch(f"linear: {x.shape} incompatible with weight {w.shape}")
     if b.shape != (w.shape[0],):
@@ -281,7 +275,6 @@ def linear(x, w, b) -> Tensor:
 
 def global_avg_pool(x) -> Tensor:
     """(N, C, H, W) -> (N, C) spatial mean."""
-    x = _as_tensor(x)
     if x.ndim != 4:
         raise ShapeMismatch(f"global_avg_pool: need 4D input, got {x.shape}")
     N, C, H, W = x.shape
@@ -316,7 +309,6 @@ def _cross_entropy(logits: Tensor, labels) -> tuple[float, np.ndarray]:
 
 def softmax_cross_entropy(logits, labels) -> Tensor:
     """Mean cross-entropy between softmax(logits) and integer labels."""
-    logits = _as_tensor(logits)
     loss, dz = _cross_entropy(logits, labels)
     N = logits.shape[0]
     return make_op(np.asarray(loss), (logits,), lambda g: (g * dz / N,))
@@ -336,16 +328,15 @@ def kd_loss(student_logits, teacher_logits, hard_labels, temperature: float = 4.
         raise InvalidHyperparameter(f"temperature must be > 0, got {temperature}")
     if not 0.0 <= mix <= 1.0:
         raise InvalidHyperparameter(f"mix must lie in [0, 1], got {mix}")
-    student = _as_tensor(student_logits)
-    ce, d_hard = _cross_entropy(student, hard_labels)
+    ce, d_hard = _cross_entropy(student_logits, hard_labels)
     teacher = teacher_logits.data if isinstance(teacher_logits, Tensor) else np.asarray(
         teacher_logits, dtype=np.float64)
-    if teacher.shape != student.shape:
-        raise ShapeMismatch(f"teacher logits {teacher.shape} != student {student.shape}")
-    N = student.shape[0]
+    if teacher.shape != student_logits.shape:
+        raise ShapeMismatch(f"teacher logits {teacher.shape} != student {student_logits.shape}")
+    N = student_logits.shape[0]
     T = float(temperature)
 
-    logq = _log_softmax(student.data / T)
+    logq = _log_softmax(student_logits.data / T)
     logp_t = _log_softmax(teacher / T)
     p_t = np.exp(logp_t)
     kl = float((p_t * (logp_t - logq)).sum(axis=1).mean())
@@ -355,4 +346,4 @@ def kd_loss(student_logits, teacher_logits, hard_labels, temperature: float = 4.
         d_soft = np.exp(logq) - p_t
         return (g * (mix * d_hard + (1.0 - mix) * T * d_soft) / N,)
 
-    return make_op(np.asarray(loss), (student,), backward_fn)
+    return make_op(np.asarray(loss), (student_logits,), backward_fn)

@@ -41,7 +41,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .autodiff import Tensor, make_op
 from .errors import InvalidHyperparameter
 from .filterbank import WaveletSpec, parse_wavelet
-from .ops import _as_tensor
 from .transforms import _analyze_ll, _analyze_ll_adjoint, _as_input
 
 DEFAULT_BLUR_KERNEL = (0.25, 0.5, 0.25)
@@ -175,7 +174,6 @@ def _linear_pool(x, filt: np.ndarray, offset: int, op: str) -> Tensor:
     starting ``offset`` samples from each kept sample, with its exact
     adjoint as the backward pass.  Sides must be even and no shorter than
     the filter."""
-    x = _as_tensor(x)
     _as_input(x.data, max(2, filt.size), op, 4)
     return make_op(
         _analyze_ll(x.data, filt, offset),
@@ -196,7 +194,6 @@ def wavelet_pool(x, spec: WaveletSpec) -> Tensor:
 
 def max_pool2(x) -> Tensor:
     """2x2 max pooling, stride 2; ties break to the first window index."""
-    x = _as_tensor(x)
     N, C, H, W = _as_input(x.data, 2, "max_pool2", 4).shape
     # windows in row-major order (0,0), (0,1), (1,0), (1,1) on the last axis
     win = sliding_window_view(x.data, (2, 2), axis=(2, 3))[:, :, ::2, ::2].reshape(

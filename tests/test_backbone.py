@@ -149,6 +149,11 @@ class TestSchedules:
         with pytest.raises(InvalidConfig):
             StageSchedule(stages=((2, 16, True),), stem_stride=3)
 
+    @pytest.mark.parametrize("field", ["stem_channels", "expansion"])
+    def test_stem_channels_and_expansion_below_1_rejected(self, field):
+        with pytest.raises(InvalidConfig, match="stem channels and expansion must be positive"):
+            StageSchedule(stages=((2, 16, True),), **{field: 0})
+
     def test_parse_variant(self):
         # a variant is its config letter; any other spelling is refused
         assert VARIANTS == ("a", "b", "c")

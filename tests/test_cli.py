@@ -613,6 +613,14 @@ class TestCount:
         assert f"{path}: not UTF-8 text (byte 3)" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    def test_dataset_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # 2 test images of 3 x 10^6 x 10^6 float64 pixels: about 44 TiB
+        text = override(tiny_config_text(tmp_path / "runs"),
+                        "[dataset]\nn_test = 2\nimage_size = 1000000\n")
+        assert main(["count", write_config(tmp_path / "huge.config", text)]) == 2
+        err = capsys.readouterr().err
+        assert "Unable to allocate" in err and "Traceback" not in err
+
     def test_pool_input_below_filter_length_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(
             tmp_path / "ch55.config", tiny_config_text(tmp_path / "runs", pool="wavelet:ch5.5")

@@ -279,6 +279,13 @@ class TestImageSetFormat:
         with pytest.raises(CorruptDataset):
             load_image_set(path)
 
+    @pytest.mark.parametrize("length", [4, 27])
+    def test_truncated_header_rejected(self, tmp_path, length):
+        path = tmp_path / "short.wvds"
+        path.write_bytes((IMAGESET_MAGIC + struct.pack("<6I", 1, 2, 3, 4, 4, 2))[:length])
+        with pytest.raises(CorruptDataset, match=re.escape(f"{path}: truncated header")):
+            load_image_set(path)
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(DatasetNotFound):
             load_image_set(tmp_path / "gone.wvds")

@@ -1,5 +1,6 @@
 """Differentiable ops: finite-difference oracles and contract errors."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -158,8 +159,9 @@ def _check_adjoint(rng, x_shape, w_shape, stride, pad):
     g = rng.normal(size=out.shape)
     out.backward(g)
     x2, w2 = rng.normal(size=x_shape), rng.normal(size=w_shape)
-    for lhs_out, arg, grad in ((conv2d(Tensor(x2), w.data, stride=stride, pad=pad), x2, x.grad),
-                               (conv2d(x.data, Tensor(w2), stride=stride, pad=pad), w2, w.grad)):
+    x0, w0 = Tensor(x.data), Tensor(w.data)  # frozen operands
+    for lhs_out, arg, grad in ((conv2d(Tensor(x2), w0, stride=stride, pad=pad), x2, x.grad),
+                               (conv2d(x0, Tensor(w2), stride=stride, pad=pad), w2, w.grad)):
         lhs = float(np.sum(lhs_out.data * g))
         assert abs(lhs - float(np.sum(arg * grad))) <= 1e-12 * max(1.0, abs(lhs))
 
@@ -228,6 +230,21 @@ def test_unrecorded_conv_peak_is_columns_input_and_output(rng, k, stride):
     gemm_nbytes = 0 if k == stride == 1 else (c * k * k + f) * m * 8
     peak, out = _unrecorded_conv_peak(x, w, stride)
     assert peak <= xp_nbytes + gemm_nbytes + out.data.nbytes + 64 * 1024
+
+
+def test_pointwise_conv_builds_no_column_view(rng, monkeypatch):
+    """A 1x1 stride-1 conv reads no column matrix: its forward, and its
+    backward with the weight frozen, run without a sliding-window view."""
+    def no_view(*args, **kwargs):
+        raise AssertionError("column view built")
+
+    monkeypatch.setattr(ops, "sliding_window_view", no_view)
+    x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(5, 3, 1, 1)))
+    with no_grad():
+        assert conv2d(x, w, pad="same").shape == (2, 5, 4, 4)
+    conv2d(x, w, pad="circular").backward(rng.normal(size=(2, 5, 4, 4)))
+    assert x.grad.shape == x.shape and w.grad is None
 
 
 def test_scratch_holds_only_the_largest_site(rng, monkeypatch):
@@ -570,6 +587,35 @@ class TestKdLoss:
             kd_loss(z, t, y, mix=1.5)
         with pytest.raises(InvalidHyperparameter):
             kd_loss(z, t, y, mix=-0.1)
+
+
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: conv2d(_zeros(2, 3, 4), _zeros(1, 2, 3, 1, 1), pad="same"),
+                 ShapeMismatch, "conv2d: need 4D input/weight", id="conv2d-not-4d"),
+    pytest.param(lambda: conv2d(_zeros(1, 1, 1, 8), _zeros(1, 1, 5, 5), pad="circular"),
+                 InputTooShort, "circular pad 2x2 exceeds input 1x8", id="conv2d-circular-pad"),
+    pytest.param(lambda: conv2d(_zeros(1, 1, 0, 4), _zeros(1, 1, 1, 1), pad="same"),
+                 InputTooShort, "padded input 0x4 smaller than kernel 1x1", id="conv2d-empty-axis"),
+    pytest.param(lambda: batchnorm2d(_zeros(4, 3), _zeros(3), _zeros(3), np.zeros(3), np.ones(3),
+                                     training=True),
+                 ShapeMismatch, "batchnorm2d: need 4D input", id="batchnorm2d-not-4d"),
+    pytest.param(lambda: batchnorm2d(_zeros(2, 3, 2, 2), _zeros(3), _zeros(3), np.zeros(3),
+                                     np.ones(4), training=False),
+                 ShapeMismatch, "running_var shape (4,) != (3,)", id="batchnorm2d-param-shape"),
+    pytest.param(lambda: global_avg_pool(_zeros(2, 3)),
+                 ShapeMismatch, "global_avg_pool: need 4D input", id="global_avg_pool-not-4d"),
+    pytest.param(lambda: softmax_cross_entropy(_zeros(3), np.array([0])),
+                 ShapeMismatch, "need (batch, classes) logits", id="cross_entropy-not-2d"),
+    pytest.param(lambda: kd_loss(_zeros(2, 3), np.zeros((2, 4)), np.array([0, 1])),
+                 ShapeMismatch, "teacher logits (2, 4) != student (2, 3)", id="kd_loss-teacher"),
+])
+def test_contract_errors(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
 
 
 class TestCircularConvEquivariance:

@@ -296,6 +296,12 @@ class TestErrors:
                 ll=np.zeros((2, 2)), lh=np.zeros((2, 3)), hl=np.zeros((2, 2)), hh=np.zeros((2, 2))
             )
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_subbands_must_be_matrices(self, shape):
+        z = np.zeros(shape)
+        with pytest.raises(ShapeMismatch, match="subbands must be matrices"):
+            SubbandSet(ll=z, lh=z, hl=z, hh=z)
+
     def test_dwt1d_rejects_matrix(self):
         with pytest.raises(ShapeMismatch):
             dwt1d(np.zeros((4, 4)), parse_wavelet("haar"))
