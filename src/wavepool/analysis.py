@@ -107,10 +107,10 @@ _SWEEP_GRID = 64
 
 def _on_grid_bin(freq: float, n: int) -> int:
     # the range test comes first: it also rejects nan and inf, which round()
-    # cannot take
+    # cannot take; bin 0 is DC, not a probe in (0, pi]
     if 0 < freq <= np.pi:
         k = round(freq * n / (2 * np.pi))
-        if abs(k * 2 * np.pi / n - freq) <= 1e-9:
+        if k > 0 and abs(k * 2 * np.pi / n - freq) <= 1e-9:
             return int(k)
     raise InvalidConfig(f"frequency {freq:.6f} is not an exact bin of the {n}-point sweep grid")
 

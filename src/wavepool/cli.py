@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alias", help="alias energy sweep for one pool kind")
     p.add_argument("pool", help='pool string, e.g. "wavelet:haar" or "max"')
     p.add_argument("--freqs", default="0.25,0.5,0.75,1.0",
-                   help="comma list in units of pi")
+                   help="comma list in units of pi, each in (0, 1]")
     p.add_argument("--outdir", default="alias_out")
     p.set_defaults(func=cmd_alias)
 

@@ -15,11 +15,15 @@ h[n] = (-1)^n * l[L-1-n].
 Filters of different lengths are center-aligned: a synthesis filter of
 length K pairs with an analysis filter of length J by shifting its support
 (J - K) / 2 taps, exposed as ``synthesis_low_offset``/``synthesis_high_offset``
-and consumed by the transforms when building the adjoint operators.  All
-coefficients are frozen double-precision literals (exact rationals times
-sqrt(2) for the Cohen family, 60-digit spectral factorization rounded to
-double for Daubechies) and are re-validated by the test suite through
-``check_biorthogonality`` and round-trip reconstruction.
+and consumed by the transforms when building the adjoint operators.
+
+The Cohen filters are built at import from their integer tables (sqrt(2)/d
+times integers), each tap rounded once to the nearest double.  The
+Daubechies filters db2-db4 are double literals (a 60-digit spectral
+factorization rounded to double).  haar, db1 and ch1.1 use
+``1/math.sqrt(2)`` = 0.7071067811865475, one ulp below the correctly
+rounded 1/sqrt(2): archived results depend on haar's bytes, and ch1.1 must
+equal haar, so ch1.1 is not built from the integer rule.
 """
 
 from __future__ import annotations
@@ -123,57 +127,24 @@ _DB_LOW = {
     ),
 }
 
-# Cohen (CDF spline) pairs: analysis low is the long filter, synthesis low
-# the short B-spline dual.  Exact values: ch3.3 analysis = sqrt(2)/64 *
-# [3,-9,-7,45,45,-7,-9,3], synthesis = sqrt(2)/8 * [1,3,3,1]; ch5.5
-# analysis = sqrt(2)/4096 * [35,-175,120,800,-1357,-1575,4200,4200,-1575,
-# -1357,800,120,-175,35], synthesis = sqrt(2)/32 * [1,5,10,10,5,1].
+# Cohen (CDF spline) pairs from Cohen, Daubechies & Feauveau (1992), each
+# filter as (d, k) for the taps sqrt(2) * k / d: the analysis low-pass (the
+# long filter), then the synthesis low-pass (the short B-spline dual).
 _COHEN = {
-    (3, 3): (
-        (
-            0.06629126073623882,
-            -0.1988737822087165,
-            -0.15467960838455727,
-            0.9943689110435825,
-            0.9943689110435825,
-            -0.15467960838455727,
-            -0.1988737822087165,
-            0.06629126073623882,
-        ),
-        (
-            0.1767766952966369,
-            0.5303300858899106,
-            0.5303300858899106,
-            0.1767766952966369,
-        ),
-    ),
+    (3, 3): ((64, (3, -9, -7, 45, 45, -7, -9, 3)), (8, (1, 3, 3, 1))),
     (5, 5): (
-        (
-            0.012084344405043537,
-            -0.060421722025217686,
-            0.04143203796014927,
-            0.27621358640099514,
-            -0.468527295932688,
-            -0.5437954982269592,
-            1.4501213286052244,
-            1.4501213286052244,
-            -0.5437954982269592,
-            -0.468527295932688,
-            0.27621358640099514,
-            0.04143203796014927,
-            -0.060421722025217686,
-            0.012084344405043537,
-        ),
-        (
-            0.04419417382415922,
-            0.2209708691207961,
-            0.4419417382415922,
-            0.4419417382415922,
-            0.2209708691207961,
-            0.04419417382415922,
-        ),
+        (4096, (35, -175, 120, 800, -1357, -1575, 4200, 4200, -1575, -1357, 800, 120, -175, 35)),
+        (32, (1, 5, 10, 10, 5, 1)),
     ),
 }
+
+
+def _sqrt2_times(d: int, taps: tuple[int, ...]) -> tuple[float, ...]:
+    """sqrt(2) * k / d for each integer k, rounded once to the nearest
+    double: isqrt gives floor(sqrt(2) * 2**100), and int-by-int true
+    division rounds correctly."""
+    sqrt2_scaled = math.isqrt(2 << 200)
+    return tuple(k * sqrt2_scaled / (d << 100) for k in taps)
 
 
 # Every shipped wavelet by config name, in the order supported_wavelets()
@@ -185,7 +156,10 @@ _WAVELETS = {
         _spec("haar", _DB_LOW[1]),
         *(_spec(f"db{k}", low) for k, low in _DB_LOW.items()),
         _spec("ch1.1", _DB_LOW[1]),
-        *(_spec(f"ch{k}.{k_dual}", ana, syn) for (k, k_dual), (ana, syn) in _COHEN.items()),
+        *(
+            _spec(f"ch{k}.{k_dual}", _sqrt2_times(*ana), _sqrt2_times(*syn))
+            for (k, k_dual), (ana, syn) in _COHEN.items()
+        ),
     ]
 }
 

@@ -14,8 +14,11 @@ every valid variant, both conv pads) it hashes the parameter gradients of
 two cross-entropy SGD steps (momentum 0.9, weight decay 5e-4) and of one
 distillation step, the final state, the ``no_grad`` logits at batches of 7
 and 24, and the input gradients of a recorded eval forward of 5 images.
-It also hashes ``max_pool2``'s forward and backward.  It prints one line
-per net and the total.
+It also hashes ``max_pool2``'s forward and backward, and for every
+wavelet in ``supported_wavelets()`` its four filters, ``dwt1d`` and
+``idwt1d`` of a seeded 64-vector, and the ``dwt2d`` bands, ``idwt2d`` and
+``reconstruct_lowpass`` of a seeded 64x64 image.  It prints one line per
+wavelet and per net, and the total over all of them.
 
 The digest depends on the BLAS build and its thread count, so compare two
 trees on one machine only; no test asserts its value.
@@ -32,9 +35,11 @@ import numpy as np  # noqa: E402
 from wavepool.autodiff import Tensor, make_rng, no_grad  # noqa: E402
 from wavepool.backbone import VARIANTS, Network, micro_schedule  # noqa: E402
 from wavepool.data import make_tiny_object_set  # noqa: E402
+from wavepool.filterbank import parse_wavelet, supported_wavelets  # noqa: E402
 from wavepool.ops import PAD_MODES, kd_loss, softmax_cross_entropy  # noqa: E402
 from wavepool.optim import sgd_step, zero_grads  # noqa: E402
 from wavepool.pooling import max_pool2, parse_pool  # noqa: E402
+from wavepool.transforms import dwt1d, dwt2d, idwt1d, idwt2d, reconstruct_lowpass  # noqa: E402
 
 POOLS = ("max", "avg", "strided", "blur:1-2-1", "wavelet:haar", "wavelet:db4", "wavelet:ch3.3")
 BATCH, SIZE, CLASSES, SEED = 24, 32, 4, 3
@@ -81,12 +86,29 @@ def max_pool_digest() -> str:
     return h.hexdigest()
 
 
+def wavelet_digest(name: str) -> str:
+    spec = parse_wavelet(name)
+    rng = make_rng(SEED)
+    x, image = rng.normal(size=64), rng.normal(size=(64, 64))
+    low, high = dwt1d(x, spec)
+    bands = dwt2d(image, spec)
+    h = hashlib.sha256()
+    _update(h, (spec.analysis_low, spec.analysis_high, spec.synthesis_low, spec.synthesis_high))
+    _update(h, (low, high, idwt1d(low, high, spec)))
+    _update(h, (bands.ll, bands.lh, bands.hl, bands.hh, idwt2d(bands, spec)))
+    _update(h, (reconstruct_lowpass(image, spec),))
+    return h.hexdigest()
+
+
 def main() -> int:
     data = make_tiny_object_set(BATCH, SIZE, 4, CLASSES, seed=SEED)
     teacher = make_rng(SEED).normal(size=(BATCH, CLASSES))
     total = hashlib.sha256()
     rows = [("max_pool2", max_pool_digest())]
     print(*rows[0], flush=True)
+    for name in supported_wavelets():
+        rows.append((f"wavelet {name}", wavelet_digest(name)))
+        print(*rows[-1], flush=True)
     for pool in POOLS:
         for variant in ("a",) if pool == "strided" else VARIANTS:
             for pad in PAD_MODES:
@@ -95,7 +117,7 @@ def main() -> int:
                 print(*rows[-1], flush=True)
     for _name, digest in rows:
         total.update(digest.encode())
-    print(f"total {total.hexdigest()} over {len(rows) - 1} nets")
+    print(f"total {total.hexdigest()} over {len(rows)} lines")
     return 0
 
 

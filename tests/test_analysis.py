@@ -17,7 +17,7 @@ from wavepool.analysis import (
     spectrum_energy_fraction_above,
     train_model,
 )
-from wavepool.autodiff import no_grad
+from wavepool.autodiff import Tensor, no_grad
 from wavepool.backbone import (
     Network,
     StageSchedule,
@@ -246,6 +246,10 @@ class TestAliasEnergySweep:
         with pytest.raises(InvalidConfig):
             alias_energy_sweep(parse_pool("avg"), [3.5])
 
+    def test_frequency_in_the_dc_bin_rejected(self):
+        with pytest.raises(InvalidConfig, match="not an exact bin"):
+            alias_energy_sweep(parse_pool("avg"), [1e-12])
+
     def test_metadata_names_the_pool(self):
         report = alias_energy_sweep(parse_pool("wavelet:haar"), [PI / 2])
         assert report.metadata["pool"] == "wavelet:haar"
@@ -271,6 +275,21 @@ class TestShiftConsistency:
         data = make_tiny_object_set(4, image_size=16, object_size=2, classes=4, seed=0)
         report = shift_consistency(model, data, max_shift=2)
         assert report.value("logit_cosine") == 1.0
+        assert report.value("argmax_agreement") == 1.0
+
+    def test_zero_logits_against_nonzero_logits_score_cosine_zero(self):
+        class ZeroUntilShifted:
+            """Zero logits for the unshifted forward, ones for every shift."""
+
+            calls = 0
+
+            def forward(self, images, training):
+                self.calls += 1
+                return Tensor(np.full((images.shape[0], 3), float(self.calls > 1)))
+
+        data = make_tiny_object_set(3, image_size=16, object_size=2, classes=3, seed=0)
+        report = shift_consistency(ZeroUntilShifted(), data, max_shift=2)
+        assert report.value("logit_cosine") == 0.0
         assert report.value("argmax_agreement") == 1.0
 
     def test_scores_bounded(self):

@@ -24,6 +24,10 @@ class TestTensorBasics:
         assert t.shape == (1, 2) and t.ndim == 2 and t.data.size == 2
         assert Tensor(5.0).item() == 5.0
 
+    def test_repr_names_shape_and_grad(self):
+        assert repr(Tensor(np.zeros((2, 3)), requires_grad=True)) == "Tensor(shape=(2, 3), grad)"
+        assert repr(Tensor(1.0)) == "Tensor(shape=())"
+
     def test_backward_requires_scalar(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeMismatch):

@@ -674,6 +674,14 @@ class TestAlias:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_frequency_in_the_dc_bin_exits_2(self, tmp_path, capsys):
+        code = main(
+            ["alias", "wavelet:haar", "--freqs", "1e-10", "--outdir", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert "not an exact bin" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("freqs", ["abc", "nan", "inf", ""])
     def test_malformed_frequency_list_exits_2(self, tmp_path, capsys, freqs):
         code = main(["alias", "max", "--freqs", freqs, "--outdir", str(tmp_path / "out")])

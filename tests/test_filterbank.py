@@ -1,6 +1,7 @@
 """Filter construction, normalization, and duality conditions."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -102,6 +103,61 @@ class TestCohen:
     def test_unsupported_pairs_rejected(self, pair):
         with pytest.raises(UnsupportedWavelet):
             parse_wavelet("ch{}.{}".format(*pair))
+
+
+def _exact_lowpass():
+    """Analysis and synthesis low-pass filters of every closed-form wavelet
+    but haar, from 60-digit decimals, each rounded once by ``float``."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        s2, s3, s10 = (Decimal(n).sqrt() for n in (2, 3, 10))
+        r = (5 + 2 * s10).sqrt()
+        db2 = [v / (4 * s2) for v in (1 + s3, 3 + s3, 3 - s3, 1 - s3)]
+        db3 = [
+            v / (16 * s2)
+            for v in (
+                1 + s10 + r, 5 + s10 + 3 * r, 10 - 2 * s10 + 2 * r,
+                10 - 2 * s10 - 2 * r, 5 + s10 - 3 * r, 1 + s10 - r,
+            )
+        ]
+        ch33 = [s2 * k / 64 for k in (3, -9, -7, 45, 45, -7, -9, 3)]
+        ch33_dual = [s2 * k / 8 for k in (1, 3, 3, 1)]
+        ch55_half = (35, -175, 120, 800, -1357, -1575, 4200)
+        ch55 = [s2 * k / 4096 for k in ch55_half + ch55_half[::-1]]
+        ch55_dual = [s2 * k / 32 for k in (1, 5, 10, 10, 5, 1)]
+        exact = {
+            "db2": (db2, db2),
+            "db3": (db3, db3),
+            "ch3.3": (ch33, ch33_dual),
+            "ch5.5": (ch55, ch55_dual),
+        }
+        return {
+            name: tuple(np.array([float(v) for v in f]) for f in pair)
+            for name, pair in exact.items()
+        }
+
+
+class TestExactTaps:
+    """Every shipped filter with a closed form, pinned byte for byte.  The
+    high-pass filters follow from these by the QMF rule."""
+
+    @pytest.mark.parametrize("name", ["db2", "db3", "ch3.3", "ch5.5"])
+    def test_lowpass_is_exact_value_rounded_once(self, name):
+        analysis, synthesis = _exact_lowpass()[name]
+        spec = parse_wavelet(name)
+        assert np.array_equal(spec.analysis_low, analysis)
+        assert np.array_equal(spec.synthesis_low, synthesis)
+
+    @pytest.mark.parametrize("name", ["haar", "db1", "ch1.1"])
+    def test_haar_taps_are_one_over_math_sqrt2(self, name):
+        # 1/math.sqrt(2) is one ulp below the correctly rounded 1/sqrt(2);
+        # archived results depend on these bytes
+        h = 1 / math.sqrt(2)
+        spec = parse_wavelet(name)
+        for f in (spec.analysis_low, spec.synthesis_low):
+            assert np.array_equal(f, [h, h])
+        for f in (spec.analysis_high, spec.synthesis_high):
+            assert np.array_equal(f, [h, -h])
 
 
 class TestNormalization:

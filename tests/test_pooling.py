@@ -83,7 +83,7 @@ class TestPoolKind:
 
     @pytest.mark.parametrize(
         "text",
-        ["max", "avg", "strided", "blur:1-2-1", "blur:1-4-6-4-1",
+        ["max", "avg", "strided", "blur:1-2-1", "blur:1-4-6-4-1", "blur:1-2.5-1",
          "wavelet:haar", "wavelet:db4", "wavelet:ch3.3"],
     )
     def test_parse_config_string_round_trip(self, text):
