@@ -5,19 +5,23 @@ Run from the root of a checkout, naming the two tree roots to compare:
     python3 tests/pairs.py --parent <parent-tree> --change <change-tree> \
         --workload train_haar --pairs 10 --seed 51
 
-Pair i runs ``perfbench/run.py --workload W --seed S+i --seconds T
---trace 0`` once in each tree, one process at a time, and alternates which
-side goes first: the parent in even pairs, the change in odd ones.  Every
-run is printed with its seed, side, ``correct``, ``failed`` and end-to-end
-metrics; a failed or incorrect run is printed and counted, never dropped.
+Pair i runs ``perfbench/run.py --workload W --seed S+i --trace 0`` once
+in each tree, for the ``run_seconds`` that ``BENCHMARK.json`` sets, one
+process at a time, and alternates which side goes first: the parent in even
+pairs, the change in odd ones.  Every run is printed with its seed, side,
+``correct``, ``failed`` and end-to-end metrics; a failed, incorrect or
+timed-out run is printed and counted, never dropped.
 
 Then, for each workload and each end-to-end metric in ``BENCHMARK.json``,
 it prints both medians and their relative change, the pairs the change won
 (ties count for neither side), the parent's interquartile range and the
 metric's bound, and a verdict:
 
-- ``gain``: the change won at least 9 pairs in 10, and its median is
-  better than the parent's by more than the parent's interquartile range;
+- ``gain``: the change won at least 9 in 10 of the pairs run, and its
+  median is better than the parent's by more than the parent's
+  interquartile range, and its runs fail no larger share of operations
+  than the parent's (a pair in which either side read no value is run but
+  not won);
 - ``worse``: the change's median is worse than the parent's by more than
   the bound times the parent's median;
 - ``unresolved``: the parent's interquartile range is wider than the bound
@@ -41,14 +45,21 @@ from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 SIDES = ("parent", "change")
+TIMEOUT_S = 600
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in the tree at ``root``: its result line, or one
-    failed operation and no metrics when the process printed none."""
+    failed operation and no metrics when the process printed none or ran
+    past ``TIMEOUT_S``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    failed = {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
+    try:
+        proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        print(f"{root}: {workload} seed {seed} ran past {TIMEOUT_S} s", file=sys.stderr)
+        return failed
     try:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         metrics = {name: m["value"] for name, m in result["metrics"].items()}
@@ -56,7 +67,7 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
                 "failed": result["failed"], "metrics": metrics}
     except (IndexError, KeyError, TypeError, json.JSONDecodeError):
         print(proc.stderr, file=sys.stderr, end="")
-        return {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
+        return failed
 
 
 def _iqr(values: list[float]) -> float:
@@ -67,18 +78,19 @@ def _iqr(values: list[float]) -> float:
 
 
 def verdict(parent: list[float], change: list[float], pairs: list[tuple[float, float]],
-            better: str, bound: float) -> dict:
+            pairs_run: int, better: str, bound: float) -> dict:
     """Compare one metric's runs: ``parent`` and ``change`` hold every
     value read on each side, ``pairs`` the (parent, change) values of the
-    pairs in which both sides read one.  ``better`` is "higher" or "lower";
-    ``bound`` is the regression allowed, relative to the parent's median."""
+    pairs in which both sides read one, out of ``pairs_run`` pairs.
+    ``better`` is "higher" or "lower"; ``bound`` is the regression allowed,
+    relative to the parent's median."""
     sign = 1.0 if better == "higher" else -1.0
     med_p, med_c = statistics.median(parent), statistics.median(change)
     iqr = _iqr(parent)
     wins = sum(sign * (c - p) > 0 for p, c in pairs)
     losses = sum(sign * (c - p) < 0 for p, c in pairs)
     gap = sign * (med_c - med_p)
-    if wins >= 0.9 * len(pairs) and gap > iqr:
+    if wins >= 0.9 * pairs_run and gap > iqr:
         outcome = "gain"
     elif -gap > bound * abs(med_p):
         outcome = "worse"
@@ -90,17 +102,20 @@ def verdict(parent: list[float], change: list[float], pairs: list[tuple[float, f
         outcome = "held"
     return {"parent_median": med_p, "change_median": med_c,
             "relative_change": (med_c - med_p) / med_p if med_p else float("nan"),
-            "wins": wins, "losses": losses, "pairs": len(pairs), "parent_iqr": iqr,
+            "wins": wins, "losses": losses, "pairs": pairs_run, "parent_iqr": iqr,
             "bound": bound, "verdict": outcome}
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload: the failure counts of each side, and the ``verdict`` of
     each end-to-end metric (``end_to_end`` as in BENCHMARK.json).  Each run
-    is a ``run_once`` result with its ``workload``, ``pair`` and ``side``."""
+    is a ``run_once`` result with its ``workload``, ``pair`` and ``side``;
+    a metric's ``gain`` reads ``held`` when the change fails a larger share
+    of operations."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
+        pairs_run = max(r["pair"] for r in mine) + 1
         failures = {}
         for side in SIDES:
             side_runs = [r for r in mine if r["side"] == side]
@@ -119,11 +134,13 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                     by_pair.setdefault(r["pair"], {})[r["side"]] = r["metrics"][name]
             values = {side: [v[side] for v in by_pair.values() if side in v] for side in SIDES}
             if not values["parent"] or not values["change"]:
-                metrics[name] = {"verdict": "unresolved", "pairs": len(by_pair)}
+                metrics[name] = {"verdict": "unresolved", "pairs": pairs_run}
                 continue
             pairs = [(v["parent"], v["change"]) for v in by_pair.values() if len(v) == 2]
-            metrics[name] = verdict(values["parent"], values["change"], pairs,
+            metrics[name] = verdict(values["parent"], values["change"], pairs, pairs_run,
                                     metric["better"], metric["bound"])
+            if metrics[name]["verdict"] == "gain" and failures["verdict"] == "worse":
+                metrics[name]["verdict"] = "held"
         out[workload] = {"failures": failures, "metrics": metrics}
     return out
 
@@ -157,7 +174,6 @@ def main(argv=None) -> int:
                    help="a workload to run (repeatable; default: every workload)")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    p.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -170,7 +186,7 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             seed = args.seed + i
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                run = run_once(roots[side], workload, seed, args.seconds)
+                run = run_once(roots[side], workload, seed, bench["run_seconds"])
                 run.update(workload=workload, pair=i, seed=seed, side=side)
                 runs.append(run)
                 values = " ".join(f"{k}={v:.6g}" for k, v in run["metrics"].items())
