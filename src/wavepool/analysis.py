@@ -71,10 +71,9 @@ class MetricsReport:
         os.makedirs(outdir or os.curdir, exist_ok=True)
         csv_path = os.path.join(outdir, stem + ".csv")
         json_path = os.path.join(outdir, stem + ".json")
-        with open(csv_path, "w", encoding="utf-8") as f:
-            f.write(self.to_csv())
-        with open(json_path, "w", encoding="utf-8") as f:
-            f.write(self.to_json())
+        for path, text in ((csv_path, self.to_csv()), (json_path, self.to_json())):
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
         return csv_path, json_path
 
 
@@ -146,13 +145,15 @@ def alias_energy_sweep(pool: PoolKind, freqs) -> MetricsReport:
     if not freqs:
         raise InvalidConfig("alias sweep needs at least one frequency")
     n = _SWEEP_GRID
+    bins = [_on_grid_bin(freq, n) for freq in freqs]
     i = np.arange(n)
     grid = i[:, None] + i[None, :]
     op = pool.op()
     gain = pool.dc_gain()
     report = MetricsReport(metadata={"pool": pool.config_string(), "grid": str(n)})
-    for freq in freqs:
-        k = _on_grid_bin(freq, n)
+    for j, (freq, k) in enumerate(zip(freqs, bins)):
+        if k in bins[:j]:  # rows are keyed by frequency, so one per bin
+            raise InvalidConfig(f"frequency {freq:.6f} repeats bin {k} of an earlier one")
         x_re = np.cos(freq * grid)
         x_im = np.sin(freq * grid)
         y_re, y_im = op(Tensor(np.stack([x_re, x_im])[:, None])).data[:, 0] / gain
@@ -206,8 +207,9 @@ def shift_consistency(model, dataset: LabeledImageSet, max_shift: int,
     similarity of logits.  Circular shifts match the periodic convolution
     semantics, making full-stride agreement an exact identity.
     """
-    if max_shift < 1:
-        raise InvalidConfig(f"max_shift must be >= 1, got {max_shift}")
+    side = min(dataset.images.shape[2:])
+    if not 1 <= max_shift < side:
+        raise InvalidConfig(f"max_shift must be in [1, {side}), the image side, got {max_shift}")
     if sample_limit < 0:
         raise InvalidConfig(f"sample_limit must be >= 0, got {sample_limit}")
     images = dataset.images

@@ -46,14 +46,13 @@ zero padding remains available via ``conv_pad="same"``.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import Parameter, Tensor, is_recorded, make_op, make_rng
-from .errors import InvalidConfig, MissingArtifact, ShapeMismatch, UnsupportedFormat
+from .errors import InvalidConfig, ShapeMismatch, UnsupportedFormat, read_file
 from .ops import PAD_MODES, batchnorm2d, conv2d, global_avg_pool, linear, relu
 from .pooling import PoolKind
 
@@ -581,10 +580,7 @@ def save_checkpoint(model: Network, path) -> None:
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
-    if not os.path.exists(path):
-        raise MissingArtifact(f"checkpoint not found: {path}")
-    with open(path, "rb") as f:
-        blob = f.read()
+    blob = read_file(path)
     if blob[:4] != CHECKPOINT_MAGIC:
         raise UnsupportedFormat(f"{path}: not a checkpoint file (bad magic)")
     if len(blob) < 12:

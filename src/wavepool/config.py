@@ -60,7 +60,7 @@ from dataclasses import dataclass, field, fields
 
 from .backbone import SCHEDULES, VARIANTS, StageSchedule, bottom_heavy, check_variant
 from .data import check_tiny_object_args
-from .errors import InvalidConfig, InvalidHyperparameter, UnsupportedWavelet
+from .errors import InvalidConfig, InvalidHyperparameter, UnsupportedWavelet, read_file
 from .ops import PAD_MODES
 from .optim import LR_SCHEDULES
 from .pooling import parse_pool
@@ -256,10 +256,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8-sig") as f:
-            return parse_config(f.read())
-    except FileNotFoundError:
-        raise InvalidConfig(f"config file not found: {path}") from None
+        return parse_config(read_file(path).decode("utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise InvalidConfig(f"{path}: not UTF-8 text (byte {exc.start})") from None
 

@@ -32,9 +32,9 @@ import numpy as np
 from .autodiff import make_rng
 from .errors import (
     CorruptDataset,
-    DatasetNotFound,
     InvalidConfig,
     UnsupportedFormat,
+    read_file,
 )
 
 CIFAR_RECORD_BYTES = 3074
@@ -86,10 +86,7 @@ def read_cifar_records(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     images_u8 has shape (N, 3, 32, 32) and dtype uint8, exactly as stored.
     """
-    if not os.path.exists(path):
-        raise DatasetNotFound(f"no such dataset file: {path}")
-    with open(path, "rb") as f:
-        blob = f.read()
+    blob = read_file(path)
     if len(blob) == 0 or len(blob) % CIFAR_RECORD_BYTES:
         raise CorruptDataset(
             f"{path}: size {len(blob)} is not a positive multiple of {CIFAR_RECORD_BYTES}"
@@ -111,10 +108,9 @@ def load_cifar100(path, split: str) -> LabeledImageSet:
     """
     if split not in ("train", "test"):
         raise InvalidConfig(f"split must be 'train' or 'test', got {split!r}")
-    file_path = path
     if os.path.isdir(path):
-        file_path = os.path.join(path, f"{split}.bin")
-    _coarse, fine, images = read_cifar_records(file_path)
+        path = os.path.join(path, f"{split}.bin")
+    _coarse, fine, images = read_cifar_records(path)
     return LabeledImageSet(
         images=images.astype(np.float64) / 255.0,
         labels=fine.astype(np.int64),
@@ -223,10 +219,7 @@ def save_image_set(path, dataset: LabeledImageSet) -> None:
 
 
 def load_image_set(path) -> LabeledImageSet:
-    if not os.path.exists(path):
-        raise DatasetNotFound(f"no such dataset file: {path}")
-    with open(path, "rb") as f:
-        blob = f.read()
+    blob = read_file(path)
     if blob[:4] != IMAGESET_MAGIC:
         raise UnsupportedFormat(f"{path}: not an image-set file (bad magic)")
     if len(blob) < 28:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``read_file``, the one
+reader of input files: a path it cannot read raises ``MissingInput``."""
 
 
 class WavepoolError(Exception):
@@ -33,12 +34,8 @@ class InvalidConfig(WavepoolError):
     """Configuration is malformed or infeasible."""
 
 
-class MissingArtifact(WavepoolError):
-    """A checkpoint file does not exist."""
-
-
-class DatasetNotFound(WavepoolError):
-    """Dataset path does not exist."""
+class MissingInput(WavepoolError):
+    """An input path is missing, a directory, or not readable."""
 
 
 class CorruptDataset(WavepoolError):
@@ -47,3 +44,12 @@ class CorruptDataset(WavepoolError):
 
 class UnsupportedFormat(WavepoolError):
     """Image file format not supported."""
+
+
+def read_file(path) -> bytes:
+    """The bytes of the file at ``path``, or MissingInput naming it."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as exc:
+        raise MissingInput(f"cannot read {path}: {exc.strerror}") from None

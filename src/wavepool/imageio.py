@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 
-from .errors import ShapeMismatch, UnsupportedFormat
+from .errors import ShapeMismatch, UnsupportedFormat, read_file
 
 
 # The header grammar: the magic, then width, height and maxval, each token
@@ -25,8 +25,7 @@ _HEADER = re.compile(rb"P[56]" + (_GAP + rb"([^\s#]\S*)\s") * 3)
 
 def read_image(path) -> np.ndarray:
     """Read a binary PGM/PPM; returns (H, W) or (3, H, W) floats in [0,1]."""
-    with open(path, "rb") as f:
-        blob = f.read()
+    blob = read_file(path)
     magic = blob[:2]
     if magic not in (b"P5", b"P6"):
         raise UnsupportedFormat(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -26,11 +27,10 @@ from wavepool.backbone import (
     save_checkpoint,
 )
 from wavepool.config import parse_config
-from wavepool.data import make_tiny_object_set
+from wavepool.data import LabeledImageSet, make_tiny_object_set
 from wavepool.errors import (
-    DatasetNotFound,
     InvalidConfig,
-    MissingArtifact,
+    MissingInput,
 )
 from wavepool.filterbank import parse_wavelet
 from wavepool.optim import LR_SCHEDULES
@@ -250,6 +250,13 @@ class TestAliasEnergySweep:
         with pytest.raises(InvalidConfig, match="not an exact bin"):
             alias_energy_sweep(parse_pool("avg"), [1e-12])
 
+    def test_repeated_bin_rejected(self):
+        # rows are keyed by frequency, so a second probe of one bin would
+        # overwrite the first
+        for freqs in ([PI / 2, PI / 2], [PI / 2, PI / 2 + 1e-12], [PI / 4, PI / 2, PI / 4]):
+            with pytest.raises(InvalidConfig, match="repeats bin"):
+                alias_energy_sweep(parse_pool("avg"), freqs)
+
     def test_metadata_names_the_pool(self):
         report = alias_energy_sweep(parse_pool("wavelet:haar"), [PI / 2])
         assert report.metadata["pool"] == "wavelet:haar"
@@ -309,6 +316,21 @@ class TestShiftConsistency:
         with pytest.raises(InvalidConfig):
             shift_consistency(model, data, max_shift=1, sample_limit=-3)
 
+    def test_shift_of_a_whole_side_rejected(self):
+        # a roll by the image side is the identity along that axis, so the
+        # largest shift that moves the image is one pixel short of the side
+        class Constant:
+            def forward(self, images, training):
+                return Tensor(np.ones((images.shape[0], 2)))
+
+        data = make_tiny_object_set(2, image_size=16, object_size=2, classes=2, seed=0)
+        assert shift_consistency(Constant(), data, max_shift=15).metadata["max_shift"] == "15"
+        # the shorter side bounds the shift
+        wide = LabeledImageSet(np.zeros((1, 1, 8, 12)), np.zeros(1), 2)
+        for images, side in ((data, 16), (wide, 8)):
+            with pytest.raises(InvalidConfig, match=re.escape(f"must be in [1, {side})")):
+                shift_consistency(Constant(), images, max_shift=side)
+
     def test_bad_max_shift_rejected(self):
         model = Network(micro_schedule(), parse_pool("max"), "c",
                         num_classes=4, seed=0)
@@ -353,7 +375,7 @@ class TestLoadDataset:
         text = tiny_config_text().replace(
             "kind = synthetic", "kind = file\npath = /nonexistent/set.wvds"
         )
-        with pytest.raises(DatasetNotFound):
+        with pytest.raises(MissingInput, match="cannot read /nonexistent/"):
             load_dataset(parse_config(text), "train")
 
 
@@ -428,14 +450,14 @@ class TestExperimentRuns:
 
     def test_kd_missing_teacher_raises(self):
         cfg = parse_config(tiny_config_text(mode="kd", teacher="/nonexistent/t.wvpk"))
-        with pytest.raises(MissingArtifact):
+        with pytest.raises(MissingInput, match="cannot read /nonexistent/t.wvpk"):
             train_model(cfg)[1]
 
     def test_missing_dataset_raises(self):
         text = tiny_config_text().replace(
             "kind = synthetic", "kind = cifar100\npath = /nonexistent/cifar"
         )
-        with pytest.raises(DatasetNotFound):
+        with pytest.raises(MissingInput, match="cannot read /nonexistent/"):
             train_model(parse_config(text))[1]
 
     def test_evaluate_bounds(self):

@@ -37,7 +37,7 @@ from wavepool.backbone import (
 )
 from wavepool.errors import (
     InvalidConfig,
-    MissingArtifact,
+    MissingInput,
     ShapeMismatch,
     UnsupportedFormat,
     WavepoolError,
@@ -677,9 +677,10 @@ class TestCheckpoints:
         for name, arr in model.state():
             assert np.array_equal(tensors[name], arr)
 
-    def test_missing_file_raises_missing_artifact(self, tmp_path):
+    def test_missing_file_raises_missing_input(self, tmp_path):
         path = tmp_path / "absent.wvpk"
-        with pytest.raises(MissingArtifact, match=f"checkpoint not found: {re.escape(str(path))}"):
+        message = f"cannot read {re.escape(str(path))}: No such file or directory"
+        with pytest.raises(MissingInput, match=message):
             read_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -117,6 +117,12 @@ class TestTransform:
             bands[name] = pixels * (stats["max"] - stats["min"]) + stats["min"]
         return SubbandSet(**bands)
 
+    def test_missing_image_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.pgm"
+        assert main(["transform", str(path), "--outdir", str(tmp_path / "out")]) == 2
+        assert f"error: cannot read {path}: No such file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_constant_image(self, tmp_path):
         src = tmp_path / "flat.pgm"
         write_pgm(src, np.full((16, 16), 0.5))
@@ -393,6 +399,10 @@ class TestEval:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_checkpoint_directory_exits_2(self, trained_run, tmp_path, capsys):
+        assert main(["eval", trained_run["config"], "--checkpoint", str(tmp_path)]) == 2
+        assert f"error: cannot read {tmp_path}: Is a directory" in capsys.readouterr().err
+
     def test_checkpoint_without_input_stats_exits_2(self, trained_run, tmp_path, capsys):
         # the trained checkpoint without its input.* tensors
         old = tmp_path / "old.wvpk"
@@ -523,7 +533,7 @@ class TestDataDir:
         cfg_path = self.kd_config(tmp_path)
         assert main(["train", cfg_path, "--data-dir", str(tmp_path / "data")]) == 2
         joined = os.path.join(str(tmp_path / "data"), "t.wvpk")
-        assert f"checkpoint not found: {joined}" in capsys.readouterr().err
+        assert f"cannot read {joined}: " in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +692,12 @@ class TestAlias:
         assert "not an exact bin" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_frequency_exits_2(self, tmp_path, capsys):
+        code = main(["alias", "avg", "--freqs", "0.5,0.5", "--outdir", str(tmp_path / "out")])
+        assert code == 2
+        assert "repeats bin 16" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("freqs", ["abc", "nan", "inf", ""])
     def test_malformed_frequency_list_exits_2(self, tmp_path, capsys, freqs):
         code = main(["alias", "max", "--freqs", freqs, "--outdir", str(tmp_path / "out")])
@@ -727,6 +743,13 @@ class TestConsistency:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_shift_of_a_whole_side_exits_2(self, trained_run, capsys):
+        # the run's images are 16x16: a roll by 16 is no shift at all
+        code = main(["consistency", trained_run["config"],
+                     "--checkpoint", str(trained_run["checkpoint"]), "--max-shift", "16"])
+        assert code == 2
+        assert "max_shift must be in [1, 16)" in capsys.readouterr().err
 
     def test_negative_samples_exits_2(self, trained_run, capsys):
         code = main(

@@ -20,7 +20,13 @@ from wavepool.config import (
     serialize_config,
 )
 from wavepool.data import make_tiny_object_set
-from wavepool.errors import InvalidConfig, ShapeMismatch, UnsupportedFormat, WavepoolError
+from wavepool.errors import (
+    InvalidConfig,
+    MissingInput,
+    ShapeMismatch,
+    UnsupportedFormat,
+    WavepoolError,
+)
 from wavepool.imageio import read_image, write_pgm
 
 SAMPLE = """
@@ -273,7 +279,7 @@ class TestSerialization:
         path = tmp_path / "exp.cfg"
         path.write_text(SAMPLE)
         assert load_config(path) == parse_config(SAMPLE)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(MissingInput, match="cannot read .*missing.cfg"):
             load_config(tmp_path / "missing.cfg")
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
@@ -283,6 +289,21 @@ class TestSerialization:
         marked.write_bytes(text.encode("utf-8-sig"))
         assert load_config(marked) == load_config(plain)
         assert config_hash(load_config(marked)) == config_hash(load_config(plain))
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_any_line_ending_gives_the_same_config(self, tmp_path, newline):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(SAMPLE.replace("\n", newline).encode("utf-8"))
+        assert load_config(path) == parse_config(SAMPLE)
+        assert config_hash(load_config(path)) == config_hash(parse_config(SAMPLE))
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+    def test_bad_byte_offset_does_not_count_a_byte_order_mark(self, tmp_path, encoding):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("# r".encode(encoding) + "\u00e9sum\u00e9\n".encode("latin-1")
+                         + SAMPLE.encode("utf-8"))
+        with pytest.raises(InvalidConfig, match=re.escape(f"{path}: not UTF-8 text (byte 3)")):
+            load_config(path)
 
 
 class TestImageIo:

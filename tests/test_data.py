@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from wavepool.analysis import spectrum_energy_fraction_above
 from wavepool.autodiff import Tensor
+from wavepool.backbone import read_checkpoint
+from wavepool.config import load_config
 from wavepool.data import (
     CIFAR_RECORD_BYTES,
     IMAGESET_MAGIC,
@@ -24,11 +26,12 @@ from wavepool.data import (
 )
 from wavepool.errors import (
     CorruptDataset,
-    DatasetNotFound,
     InvalidConfig,
+    MissingInput,
     UnsupportedFormat,
     WavepoolError,
 )
+from wavepool.imageio import read_image
 from wavepool.pooling import parse_pool
 
 
@@ -84,8 +87,9 @@ class TestCifarLoader:
         assert len(load_cifar100(path, "train")) == 2
 
     def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(DatasetNotFound):
-            load_cifar100(tmp_path / "nope.bin", "train")
+        path = tmp_path / "nope.bin"
+        with pytest.raises(MissingInput, match=f"cannot read {re.escape(str(path))}"):
+            load_cifar100(path, "train")
 
     def test_truncated_file_raises(self, tmp_path):
         path = tmp_path / "train.bin"
@@ -287,8 +291,9 @@ class TestImageSetFormat:
             load_image_set(path)
 
     def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(DatasetNotFound):
-            load_image_set(tmp_path / "gone.wvds")
+        path = tmp_path / "gone.wvds"
+        with pytest.raises(MissingInput, match=f"cannot read {re.escape(str(path))}"):
+            load_image_set(path)
 
     @pytest.mark.parametrize("c, h, w", [(0, 4, 4), (3, 0, 0)])
     def test_empty_axis_refused(self, tmp_path, c, h, w):
@@ -344,3 +349,33 @@ class TestImageSetFormat:
         except WavepoolError:
             return
         assert images.min() >= 0.0 and images.max() <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the one file reader
+
+READERS = {
+    "checkpoint": read_checkpoint,
+    "cifar": read_cifar_records,
+    "config": load_config,
+    "image": read_image,
+    "image_set": load_image_set,
+}
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_reader_names_a_path_it_cannot_read(tmp_path, reader, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    reason = "No such file or directory" if kind == "missing" else "Is a directory"
+    with pytest.raises(MissingInput, match=f"^cannot read {re.escape(str(path))}: {reason}$"):
+        READERS[reader](path)
+
+
+def test_cifar_directory_without_the_split_names_the_split_file(tmp_path):
+    (tmp_path / "train.bin").write_bytes(make_cifar_fixture_bytes(n=1))
+    assert len(load_cifar100(tmp_path, "train")) == 1
+    with pytest.raises(MissingInput, match=f"cannot read {re.escape(str(tmp_path / 'test.bin'))}"):
+        load_cifar100(tmp_path, "test")
