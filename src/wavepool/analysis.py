@@ -286,6 +286,24 @@ def evaluate(model, dataset: LabeledImageSet):
     return total_loss / n, correct / n
 
 
+def _train_step(model, teacher, params, x, y, t, lr) -> tuple[float, int]:
+    """One SGD step on the batch ``x``, ``y`` under the ``[train]`` section
+    ``t``: the batch's mean loss and how many images it classified right.
+    No Tensor outlives the call, so one step's tape is freed before the
+    next step's forward."""
+    logits = model.forward(x, training=True)
+    if teacher is not None:
+        with no_grad():
+            teacher_logits = teacher.forward(x, training=False)
+        loss = kd_loss(logits, teacher_logits.data, y, t.temperature, t.alpha)
+    else:
+        loss = softmax_cross_entropy(logits, y)
+    loss.backward()
+    sgd_step(params, lr=lr, momentum=t.momentum, weight_decay=t.weight_decay)
+    zero_grads(params)
+    return loss.item(), int(np.sum(logits.data.argmax(axis=1) == y))
+
+
 def train_model(cfg: ExperimentConfig, data_dir: str = "",
                 checkpoint_dir: str | None = None):
     """Train a model per config; returns (model, MetricsReport).
@@ -331,20 +349,10 @@ def train_model(cfg: ExperimentConfig, data_dir: str = "",
         epoch_correct = 0
         for start in range(0, n, t.batch_size):
             batch = order[start:start + t.batch_size]
-            x = train_set.images[batch]
-            y = train_set.labels[batch]
-            logits = model.forward(x, training=True)
-            if teacher is not None:
-                with no_grad():
-                    teacher_logits = teacher.forward(x, training=False)
-                loss = kd_loss(logits, teacher_logits.data, y, t.temperature, t.alpha)
-            else:
-                loss = softmax_cross_entropy(logits, y)
-            loss.backward()
-            sgd_step(params, lr=lr, momentum=t.momentum, weight_decay=t.weight_decay)
-            zero_grads(params)
-            epoch_loss += loss.item() * len(batch)
-            epoch_correct += int(np.sum(logits.data.argmax(axis=1) == y))
+            loss, correct = _train_step(model, teacher, params, train_set.images[batch],
+                                        train_set.labels[batch], t, lr)
+            epoch_loss += loss * len(batch)
+            epoch_correct += correct
         report.add(f"train_loss_epoch{epoch}", epoch_loss / n, "nats")
         report.add(f"train_accuracy_epoch{epoch}", epoch_correct / n, "fraction")
         if checkpoint_dir:

@@ -1,11 +1,14 @@
 """Minimal dense tensors with reverse-mode automatic differentiation.
 
-A Tensor wraps a numpy float array plus an optional tape node: the tuple of
-parent tensors and a closure mapping the output gradient to parent
-gradients.  Calling ``backward()`` on a scalar loss, or with an explicit
-seed of the value's shape, walks the tape once in reverse topological order
-(``graphlib``'s, reversed) and accumulates ``.grad`` arrays on every leaf
-that requires gradient.
+A Tensor wraps a numpy float array.  A recorded op's output also holds its
+tape node: the nodes of its parents and a closure mapping the output
+gradient to parent gradients, and no array.  A Tensor that no recorded op
+made (a ``Parameter``, an input) is its own node.  So an op output's array
+lives only as long as a caller or a backward closure holds it, and each
+closure captures only what its backward reads.  Calling ``backward()`` on a
+scalar loss, or with an explicit seed of the value's shape, walks the tape
+once in reverse topological order (``graphlib``'s, reversed) and
+accumulates ``.grad`` arrays on every leaf that requires gradient.
 
 The operators a Tensor defines itself are the same-shape ``+`` of the
 residual connection and scaling by a constant.  Every other differentiable
@@ -49,25 +52,52 @@ def no_grad():
         _recording = prev
 
 
+class _Node:
+    """A recorded op's place on the tape: its parents' nodes and its
+    backward closure, and no array."""
+
+    __slots__ = ("_parents", "_backward")
+    requires_grad = True
+
+    def __init__(self, parents, backward):
+        self._parents = parents
+        self._backward = backward
+
+
 class Tensor:
-    """Array value plus optional autodiff tape node.
+    """Array value plus, for a recorded op's output, its tape node.
 
     Parameters
     ----------
     data : array_like
         Values; converted to a float64 numpy array.
     requires_grad : bool
-        Leaf flag; interior nodes set it automatically from their parents.
+        Leaf flag; op outputs set it automatically from their parents.
+
+    ``_parents`` and ``_backward`` read (and ``_backward`` sets) the node's
+    fields, so a tracer can walk the tape and wrap an op's backward; a
+    Tensor that is its own node has no parents and no backward.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = _parents
-        self._backward = _backward
+        self._node = None  # None: the tensor is its own node
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node._backward = fn
 
     @property
     def shape(self):
@@ -113,28 +143,29 @@ class Tensor:
             if grad.shape != self.data.shape:
                 raise ShapeMismatch(f"seed shape {grad.shape} != value shape {self.data.shape}")
 
-        order = _toposort(self)
-        grads = {id(self): grad.copy()}
-        for t in order:
-            g = grads.pop(id(t), None)
+        root = _node_of(self)
+        grads = {root: grad.copy()}
+        for node in _toposort(root):
+            g = grads.pop(node, None)
             if g is None:
                 continue
-            if t.requires_grad and t._backward is None:
-                t.grad = g if t.grad is None else t.grad + g
-            if t._backward is None:
+            if node._backward is None:
+                if node.requires_grad:
+                    node.grad = g if node.grad is None else node.grad + g
                 continue
-            for parent, pg in zip(t._parents, t._backward(g)):
+            for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
                     continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
+                grads[parent] = grads[parent] + pg if parent in grads else pg
 
 
-def _toposort(root: Tensor):
-    """The tape below ``root``, each tensor before its parents (root first)."""
+def _node_of(t: Tensor):
+    return t if t._node is None else t._node
+
+
+def _toposort(root):
+    """The tape below node ``root``, each node before its parents (root
+    first)."""
     graph, stack = {}, [root]
     while stack:
         node = stack.pop()
@@ -151,10 +182,16 @@ def is_recorded(parents) -> bool:
 
 
 def make_op(data, parents, backward_fn) -> Tensor:
-    """Create an op output, recording the tape node when gradients are on."""
+    """Create an op output, recording its tape node when gradients are on.
+
+    The node keeps the parents' nodes, never their arrays, so
+    ``backward_fn`` must capture whatever of its inputs it reads.
+    """
+    out = Tensor(data)
     if is_recorded(parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward_fn)
-    return Tensor(data)
+        out.requires_grad = True
+        out._node = _Node(tuple(map(_node_of, parents)), backward_fn)
+    return out
 
 
 class Parameter(Tensor):

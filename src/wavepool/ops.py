@@ -24,8 +24,12 @@ buffer, the channel-major layout dcols already has; one transposing copy
 then gives the contiguous NCHW input gradient.  The column matrix is k*k
 times the input, so it is rebuilt from the padded input in backward rather
 than kept on the tape: keeping it measured only a small gain in step time
-for a 40% rise in peak memory.  A 1x1 stride-1 convolution skips the column
-matrix and multiplies each image's (C, H*W) block directly.
+for a 40% rise in peak memory.  The backward keeps the padded input, not
+the input: re-padding in backward lowered the live data of a ``train_haar``
+step by 20 MB, yet its peak RSS rose from 279 to 315 MB and its Mpx/s fell
+6.5%, worse in 3 of 3 alternating benchmark pairs.  A 1x1 stride-1
+convolution skips the column matrix and multiplies each image's (C, H*W)
+block directly.
 
 Forward builds the whole column matrix of its batch.  Nothing in conv2d
 bounds its size, and nothing needs to: unrecorded eval forwards are chunked
@@ -119,6 +123,9 @@ def conv2d(x, w, b=None, stride: int = 1, *, pad: str) -> Tensor:
     pointwise = kh == kw == stride == 1
 
     parents = (x, w) if b is None else (x, w, b)
+    # the backward reads xp, never x: a padded conv's input can be freed
+    x_grad, w_grad = x.requires_grad, w.requires_grad
+    b_grad = None if b is None else b.requires_grad
 
     def columns():
         # the (C, kh, kw, N, Ho, Wo) column matrix as a view of xp
@@ -140,14 +147,14 @@ def conv2d(x, w, b=None, stride: int = 1, *, pad: str) -> Tensor:
         np.copyto(g2, g.transpose(1, 0, 2, 3))
         g2 = g2.reshape(F, M)
         dw = None
-        if w.requires_grad:
+        if w_grad:
             cols = _scratch_view("cols", (C, kh, kw, N, Ho, Wo))
             np.copyto(cols, columns())
-            dw = (g2 @ cols.reshape(K, M).T).reshape(w.shape)
+            dw = (g2 @ cols.reshape(K, M).T).reshape(F, C, kh, kw)
         dx = None
-        if x.requires_grad and pointwise:
+        if x_grad and pointwise:
             dx = (w2.T @ g.reshape(N, F, H * W)).reshape(N, C, H, W)
-        elif x.requires_grad:
+        elif x_grad:
             # the columns are dead, so their slot takes dcols
             dcols = np.matmul(w2.T, g2, out=_scratch_view("cols", (K, M)))
             dcols = dcols.reshape(C, kh, kw, N, Ho, Wo)
@@ -162,10 +169,9 @@ def conv2d(x, w, b=None, stride: int = 1, *, pad: str) -> Tensor:
                 dxp[:, :, :, W:W + pw] += dxp[:, :, :, :pw]
                 dxp[:, :, :, pw:2 * pw] += dxp[:, :, :, W + pw:]
             dx = np.ascontiguousarray(dxp[:, :, ph:ph + H, pw:pw + W].transpose(1, 0, 2, 3))
-        if b is None:
+        if b_grad is None:
             return (dx, dw)
-        db = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
-        return (dx, dw, db)
+        return (dx, dw, g.sum(axis=(0, 2, 3)) if b_grad else None)
 
     return make_op(out, parents, backward_fn)
 
@@ -219,16 +225,19 @@ def batchnorm2d(
         out = xhat  # no backward reads xhat, so the output overwrites it
     out = np.multiply(gamma.data[None, :, None, None], xhat, out=out)
     out += beta.data[None, :, None, None]
+    # the backward reads xhat, never x
+    x_grad, gamma_grad, beta_grad = x.requires_grad, gamma.requires_grad, beta.requires_grad
+    scale = gamma.data
 
     def backward_fn(g):
-        dgamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
-        dbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
+        dgamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma_grad else None
+        dbeta = g.sum(axis=(0, 2, 3)) if beta_grad else None
         dx = None
-        if x.requires_grad:
+        if x_grad:
             if training:
                 # (inv / n) * (n * dxhat - s1 - xhat * s2) in two buffers;
                 # ending in t rather than dxhat keeps a step's peak RSS lower
-                dxhat = g * gamma.data[None, :, None, None]
+                dxhat = g * scale[None, :, None, None]
                 s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
                 t = dxhat * xhat
                 s2 = t.sum(axis=(0, 2, 3), keepdims=True)
@@ -239,7 +248,7 @@ def batchnorm2d(
                 t *= inv[None, :, None, None] / n
                 dx = t
             else:
-                dx = g * (gamma.data * inv)[None, :, None, None]
+                dx = g * (scale * inv)[None, :, None, None]
         return (dx, dgamma, dbeta)
 
     return make_op(out, (x, gamma, beta), backward_fn)
@@ -247,12 +256,13 @@ def batchnorm2d(
 
 def relu(x) -> Tensor:
     # fmax drops NaN and adding +0.0 turns -0.0 into 0.0, so this matches
-    # np.where(x > 0, x, 0.0) in one pass
+    # np.where(x > 0, x, 0.0) in one pass, and out > 0 exactly where x > 0:
+    # the backward masks with the output, which the next op reads anyway
     out = np.fmax(x.data, 0.0)
     out += 0.0
 
     def backward_fn(g):
-        return (g * (x.data > 0),)
+        return (g * (out > 0),)
 
     return make_op(out, (x,), backward_fn)
 
@@ -263,12 +273,14 @@ def linear(x, w, b) -> Tensor:
         raise ShapeMismatch(f"linear: {x.shape} incompatible with weight {w.shape}")
     if b.shape != (w.shape[0],):
         raise ShapeMismatch(f"linear: bias shape {b.shape} != ({w.shape[0]},)")
-    out = x.data @ w.data.T + b.data[None, :]
+    xd, wd = x.data, w.data
+    out = xd @ wd.T + b.data[None, :]
+    x_grad, w_grad, b_grad = x.requires_grad, w.requires_grad, b.requires_grad
 
     def backward_fn(g):
-        dx = g @ w.data if x.requires_grad else None
-        dw = g.T @ x.data if w.requires_grad else None
-        return (dx, dw, g.sum(axis=0) if b.requires_grad else None)
+        dx = g @ wd if x_grad else None
+        dw = g.T @ xd if w_grad else None
+        return (dx, dw, g.sum(axis=0) if b_grad else None)
 
     return make_op(out, (x, w, b), backward_fn)
 

@@ -202,7 +202,8 @@ def max_pool2(x) -> Tensor:
     out = np.take_along_axis(win, amax[..., None], axis=-1)[..., 0]
 
     def backward_fn(g):
-        dwin = np.zeros_like(win)
+        # reads the argmax, not the windows (a copy the size of x)
+        dwin = np.zeros((N, C, H // 2, W // 2, 4))
         np.put_along_axis(dwin, amax[..., None], g[..., None], axis=-1)
         dx = (
             dwin.reshape(N, C, H // 2, W // 2, 2, 2)
